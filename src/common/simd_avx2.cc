@@ -1,7 +1,7 @@
 /**
  * @file
  * AVX2 kernel table, compiled with -mavx2 in this TU only. The
- * plane and hash kernels run 256-bit lanes; the short-group and walk
+ * plane kernels run 256-bit lanes; the short-group, walk and hash
  * kernels reuse the shared 128-bit implementations (group sizes and
  * window widths rarely exceed 16, so wider registers buy nothing
  * there).
@@ -182,34 +182,6 @@ avx2BitsPlane32(const std::int32_t *src, std::uint8_t *dst,
     }
     if (i < n)
         x86::bitsPlane32(src + i, dst + i, n - i);
-}
-
-void
-avx2HashStripes(const unsigned char *p, std::size_t stripes,
-                std::uint32_t acc[8])
-{
-    const __m256i c1 = _mm256_set1_epi32(
-        static_cast<int>(0xCC9E2D51u));
-    const __m256i c2 = _mm256_set1_epi32(
-        static_cast<int>(0x1B873593u));
-    const __m256i c3 = _mm256_set1_epi32(
-        static_cast<int>(0xE6546B64u));
-    __m256i a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(acc));
-    for (std::size_t s = 0; s < stripes; ++s) {
-        __m256i k = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p + 32 * s));
-        k = _mm256_mullo_epi32(k, c1);
-        k = _mm256_or_si256(_mm256_slli_epi32(k, 15),
-                            _mm256_srli_epi32(k, 17));
-        k = _mm256_mullo_epi32(k, c2);
-        a = _mm256_xor_si256(a, k);
-        a = _mm256_or_si256(_mm256_slli_epi32(a, 13),
-                            _mm256_srli_epi32(a, 19));
-        a = _mm256_add_epi32(
-            _mm256_add_epi32(a, _mm256_slli_epi32(a, 2)), c3);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc), a);
 }
 
 } // namespace

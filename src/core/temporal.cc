@@ -203,7 +203,7 @@ temporalStep(TemporalNetState &state, const NetworkTrace &trace,
             stats.temporalTerms += boothTermSum(delta.data(), n);
             const TensorI32 both = xDeltas32(delta);
             stats.temporalSpatialTerms += boothTermSum(both.data(), n);
-            stats.codecBits += codec.encode(st.prevImap, lt.imap).bits;
+            stats.codecBits += codec.encodedBits(st.prevImap, lt.imap);
 
             if (opts.verifyAgainstOracle) {
                 const TensorI32 oracle =

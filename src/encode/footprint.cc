@@ -13,13 +13,38 @@ namespace diffy
 namespace
 {
 
+/** Memo key of one bits/value measurement. */
+struct BitsKey
+{
+    std::uint64_t contentHash = 0;
+    std::size_t values = 0;
+    Compression scheme = Compression::None;
+    int profiledBits = 16;
+
+    bool operator==(const BitsKey &o) const = default;
+};
+
+struct BitsKeyHash
+{
+    std::size_t
+    operator()(const BitsKey &k) const noexcept
+    {
+        // contentHash is already avalanched; the other fields only
+        // need to land in distinct buckets.
+        return static_cast<std::size_t>(
+            k.contentHash ^
+            (static_cast<std::uint64_t>(k.scheme) * 0x9E3779B97F4A7C15ULL) ^
+            (static_cast<std::uint64_t>(k.profiledBits) << 32));
+    }
+};
+
 // thread_local: memoized pure functions; keeps sweep workers
 // lock-free (see DESIGN.md §8 shared-state audit). Cleared through
 // the central registry (DESIGN.md §10, rule R2).
-std::unordered_map<std::uint64_t, double> &
+std::unordered_map<BitsKey, double, BitsKeyHash> &
 bitsPerValueCache()
 {
-    thread_local std::unordered_map<std::uint64_t, double> cache;
+    thread_local std::unordered_map<BitsKey, double, BitsKeyHash> cache;
     return cache;
 }
 
@@ -30,20 +55,31 @@ profiledBitsCache()
     return cache;
 }
 
+/** Schemes whose size does not depend on the imap's values. */
+bool
+sizeIsValueFree(Compression scheme)
+{
+    return scheme == Compression::None || scheme == Compression::Ideal ||
+           scheme == Compression::Profiled;
+}
+
 /**
- * Memoized bits/value measurements. Encoding a layer with a real
- * bitstream is the most expensive part of the traffic model, and the
- * sweep benches query the same (imap, scheme) pairs dozens of times.
+ * Memoized bits/value measurements. The sweep benches query the same
+ * (imap, scheme) pairs many times over (combineWithMemory asks once
+ * per tile x memory point), so the value-dependent schemes are sized
+ * once per thread. Value-free schemes skip the memo: hashing the imap
+ * would cost more than the answer.
  */
 double
 measuredBitsPerValue(const TensorI16 &imap, Compression scheme,
                      int profiled_bits)
 {
+    if (sizeIsValueFree(scheme))
+        return makeCodec(scheme, profiled_bits)->bitsPerValue(imap);
     auto &cache = bitsPerValueCache();
-    std::uint64_t key = contentHash64(imap.data(),
-                                      imap.size() * sizeof(std::int16_t));
-    key ^= static_cast<std::uint64_t>(scheme) * 0x9E3779B97F4A7C15ULL;
-    key ^= static_cast<std::uint64_t>(profiled_bits) << 32;
+    const BitsKey key{contentHash64(imap.data(),
+                                    imap.size() * sizeof(std::int16_t)),
+                      imap.size(), scheme, profiled_bits};
     auto it = cache.find(key);
     if (it != cache.end())
         return it->second;
@@ -127,7 +163,9 @@ measureFootprint(const NetworkTrace &trace, Compression scheme,
     fp.layers.reserve(trace.layers.size());
     for (std::size_t li = 0; li < trace.layers.size(); ++li) {
         const LayerTrace &layer = trace.layers[li];
-        int prof_bits = li < profile.size() ? profile[li]
+        int prof_bits = 16;
+        if (scheme == Compression::Profiled)
+            prof_bits = li < profile.size() ? profile[li]
                                             : layerProfiledBits(layer);
         LayerFootprint lf;
         lf.layerName = layer.spec.name;

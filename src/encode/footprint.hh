@@ -35,7 +35,8 @@ struct LayerFootprint
     std::string layerName;
     std::size_t values = 0;     ///< activation count at trace resolution
     double bitsPerValue = 0.0;  ///< measured, metadata included
-    int profiledBits = 16;      ///< per-layer profiled precision used
+    /// Per-layer profiled precision used; 16 for the other schemes.
+    int profiledBits = 16;
 };
 
 /** Whole-network footprint under one scheme. */

@@ -75,7 +75,7 @@ ActivationCodec::bitsPerValue(const TensorI16 &t) const
 {
     if (t.empty())
         return 0.0;
-    return static_cast<double>(encode(t).bits) /
+    return static_cast<double>(encodedBits(t)) /
            static_cast<double>(t.size());
 }
 
@@ -150,6 +150,12 @@ class NoCompressionCodec : public ActivationCodec
         return {t.shape(), bw.bitCount(), std::move(bw).bytes(), {}};
     }
 
+    std::size_t
+    encodedBits(const TensorI16 &t) const override
+    {
+        return 16 * t.size();
+    }
+
     DecodeResult
     tryDecode(const EncodedTensor &enc) const override
     {
@@ -170,6 +176,9 @@ class NoCompressionCodec : public ActivationCodec
     }
 };
 
+/** Bits of one run-length entry: a 4b run field and a 16b value. */
+constexpr std::size_t kRunEntryBits = 4 + 16;
+
 /**
  * Zero run-length coding: entries of (4b zero-run, 16b value). A run
  * of more than 15 zeros is carried by entries whose value is itself
@@ -180,12 +189,11 @@ class RlezCodec : public ActivationCodec
   public:
     std::string name() const override { return "RLEz"; }
 
-    EncodedTensor
-    encode(const TensorI16 &t) const override
+    /** Entry count of encode(t): a pass mirroring its emit loop. */
+    static std::size_t
+    entryCount(const TensorI16 &t)
     {
         const std::int16_t *data = t.data();
-        // Counting pre-pass mirroring the emit loop below, so the
-        // header list is sized exactly and never grows mid-stream.
         std::size_t entries = 0;
         for (std::size_t i = 0; i < t.size();) {
             int run = 0;
@@ -197,9 +205,23 @@ class RlezCodec : public ActivationCodec
             if (i < t.size())
                 ++i;
         }
+        return entries;
+    }
+
+    std::size_t
+    encodedBits(const TensorI16 &t) const override
+    {
+        return kRunEntryBits * entryCount(t);
+    }
+
+    EncodedTensor
+    encode(const TensorI16 &t) const override
+    {
+        const std::int16_t *data = t.data();
         BitWriter bw(scratchAlloc<std::uint8_t>());
         std::vector<BitRange> headers;
-        headers.reserve(entries);
+        // Sized exactly, so the list never grows mid-stream.
+        headers.reserve(entryCount(t));
         std::size_t i = 0;
         while (i < t.size()) {
             int run = 0;
@@ -255,11 +277,11 @@ class RleCodec : public ActivationCodec
   public:
     std::string name() const override { return "RLE"; }
 
-    EncodedTensor
-    encode(const TensorI16 &t) const override
+    /** Entry count of encode(t): a pass mirroring its emit loop. */
+    static std::size_t
+    entryCount(const TensorI16 &t)
     {
         const std::int16_t *data = t.data();
-        // Counting pre-pass mirroring the emit loop below.
         std::size_t entries = 0;
         for (std::size_t i = 0; i < t.size();) {
             int run = 1;
@@ -270,9 +292,22 @@ class RleCodec : public ActivationCodec
             ++entries;
             i += static_cast<std::size_t>(run);
         }
+        return entries;
+    }
+
+    std::size_t
+    encodedBits(const TensorI16 &t) const override
+    {
+        return kRunEntryBits * entryCount(t);
+    }
+
+    EncodedTensor
+    encode(const TensorI16 &t) const override
+    {
+        const std::int16_t *data = t.data();
         BitWriter bw(scratchAlloc<std::uint8_t>());
         std::vector<BitRange> headers;
-        headers.reserve(entries);
+        headers.reserve(entryCount(t));
         std::size_t i = 0;
         while (i < t.size()) {
             std::int16_t value = data[i];
@@ -346,6 +381,12 @@ class ProfiledCodec : public ActivationCodec
         return {t.shape(), bw.bitCount(), std::move(bw).bytes(), {}};
     }
 
+    std::size_t
+    encodedBits(const TensorI16 &t) const override
+    {
+        return static_cast<std::size_t>(precision_) * t.size();
+    }
+
     DecodeResult
     tryDecode(const EncodedTensor &enc) const override
     {
@@ -405,6 +446,20 @@ class RawDCodec : public ActivationCodec
         }
         return {t.shape(), bw.bitCount(), std::move(bw).bytes(),
                 std::move(headers)};
+    }
+
+    std::size_t
+    encodedBits(const TensorI16 &t) const override
+    {
+        const auto group = static_cast<std::size_t>(groupSize_);
+        const std::int16_t *data = t.data();
+        std::size_t total = 0;
+        for (std::size_t start = 0; start < t.size(); start += group) {
+            const std::size_t len = std::min(group, t.size() - start);
+            total += 4 + len * static_cast<std::size_t>(
+                                   groupBitsNeeded(data + start, len));
+        }
+        return total;
     }
 
     DecodeResult
@@ -479,23 +534,48 @@ class DeltaDCodec : public ActivationCodec
         return x == 0 || (reanchor_ > 0 && x % reanchor_ == 0);
     }
 
+    /**
+     * The coded field stream: row-major X-axis deltas within each
+     * (channel, row); anchors carry the raw value.
+     */
+    AlignedVec<std::int32_t>
+    deltaStream(const TensorI16 &t) const
+    {
+        AlignedVec<std::int32_t> stream(t.size(),
+                                        scratchAlloc<std::int32_t>());
+        const std::int16_t *data = t.data();
+        const auto w = static_cast<std::size_t>(t.width());
+        for (std::size_t row = 0; row < t.size(); row += w) {
+            for (std::size_t x = 0; x < w; ++x) {
+                const std::int32_t cur = data[row + x];
+                stream[row + x] = isAnchor(static_cast<int>(x))
+                                      ? cur
+                                      : cur - data[row + x - 1];
+            }
+        }
+        return stream;
+    }
+
+    std::size_t
+    encodedBits(const TensorI16 &t) const override
+    {
+        const AlignedVec<std::int32_t> stream = deltaStream(t);
+        const auto group = static_cast<std::size_t>(groupSize_);
+        const simd::KernelTable &kt = simd::kernels();
+        std::size_t total = 0;
+        for (std::size_t start = 0; start < stream.size();
+             start += group) {
+            const std::size_t len = std::min(group, stream.size() - start);
+            total += 5 + len * static_cast<std::size_t>(kt.groupBits32(
+                                   stream.data() + start, len));
+        }
+        return total;
+    }
+
     EncodedTensor
     encode(const TensorI16 &t) const override
     {
-        // Delta stream in row-major within each (channel, row);
-        // anchors carry the raw value.
-        AlignedVec<std::int32_t> stream(scratchAlloc<std::int32_t>());
-        stream.reserve(t.size());
-        for (int c = 0; c < t.channels(); ++c) {
-            for (int y = 0; y < t.height(); ++y) {
-                std::int32_t prev = 0;
-                for (int x = 0; x < t.width(); ++x) {
-                    std::int32_t cur = t.at(c, y, x);
-                    stream.push_back(isAnchor(x) ? cur : cur - prev);
-                    prev = cur;
-                }
-            }
-        }
+        const AlignedVec<std::int32_t> stream = deltaStream(t);
         const std::size_t group = static_cast<std::size_t>(groupSize_);
         BitWriter bw(scratchAlloc<std::uint8_t>());
         std::vector<BitRange> headers;

@@ -3,8 +3,10 @@
  * Activation compression codecs (paper Section II-E, Figs 5 and 14).
  *
  * Every scheme is implemented as a real encoder/decoder pair over a
- * bitstream, so compressed sizes are *measured*, metadata included,
- * and losslessness is verified by round-trip tests:
+ * bitstream, and losslessness is verified by round-trip tests. Sizes
+ * (metadata included) come from encodedBits(), which counts the
+ * stream encode() would emit without building it; encode() stays the
+ * bit-serial reference the size path is fuzzed against:
  *
  *  - NoCompression : 16b per value.
  *  - RLEz          : (4b zero-run, 16b value) pairs; runs longer than
@@ -171,6 +173,12 @@ class ActivationCodec
 
     /** Encode a tensor; the result records its exact bit count. */
     virtual EncodedTensor encode(const TensorI16 &t) const = 0;
+
+    /**
+     * Exact size in bits of encode(@p t), metadata included, counted
+     * without building the stream: equal to encode(t).bits.
+     */
+    virtual std::size_t encodedBits(const TensorI16 &t) const = 0;
 
     /**
      * Hardened decode: any byte sequence yields a valid tensor or a

@@ -83,6 +83,26 @@ TemporalCodec::encode(const TensorI16 &prev, const TensorI16 &cur) const
             std::move(headers)};
 }
 
+std::size_t
+TemporalCodec::encodedBits(const TensorI16 &prev, const TensorI16 &cur) const
+{
+    if (prev.shape() != cur.shape())
+        throw std::invalid_argument(
+            "TemporalCodec: reference/current shape mismatch");
+    const std::size_t n = cur.size();
+    const auto group = static_cast<std::size_t>(groupSize_);
+    AlignedVec<std::int32_t> deltas(group, scratchAlloc<std::int32_t>());
+    const simd::KernelTable &kt = simd::kernels();
+    std::size_t total = 0;
+    for (std::size_t start = 0; start < n; start += group) {
+        const std::size_t len = std::min(group, n - start);
+        total += 5 + len * static_cast<std::size_t>(kt.deltaBits16(
+                               prev.data() + start, cur.data() + start,
+                               deltas.data(), len));
+    }
+    return total;
+}
+
 DecodeResult
 TemporalCodec::tryDecode(const TensorI16 &prev,
                          const EncodedTensor &enc) const
@@ -145,7 +165,7 @@ TemporalCodec::bitsPerValue(const TensorI16 &prev, const TensorI16 &cur) const
 {
     if (cur.empty())
         return 0.0;
-    return static_cast<double>(encode(prev, cur).bits) /
+    return static_cast<double>(encodedBits(prev, cur)) /
            static_cast<double>(cur.size());
 }
 

@@ -69,6 +69,14 @@ class TemporalCodec
     /** Decode an encode() result; throws DecodeError on error. */
     TensorI16 decode(const TensorI16 &prev, const EncodedTensor &enc) const;
 
+    /**
+     * Exact size in bits of encode(@p prev, @p cur), metadata
+     * included, counted without building the stream.
+     * @throws std::invalid_argument on a shape mismatch.
+     */
+    std::size_t encodedBits(const TensorI16 &prev,
+                            const TensorI16 &cur) const;
+
     /** Mean bits per value of cur-given-prev, metadata included. */
     double bitsPerValue(const TensorI16 &prev, const TensorI16 &cur) const;
 

@@ -151,7 +151,17 @@ maybeReportSweepStats(const SweepStats &stats, const std::string &label)
 SweepScheduler::SweepScheduler(int threads, std::uint64_t baseSeed)
     : threads_(resolveThreadCount(threads)), baseSeed_(baseSeed),
       arenas_(std::make_unique<ArenaRoster>())
-{}
+{
+    // One arena per worker, each already holding its first slab: at
+    // most threads_ jobs run at once, so every lease is a recycled
+    // arena with scratch ready, whatever concurrency a sweep reaches.
+    for (int i = 0; i < threads_; ++i) {
+        auto arena = std::make_unique<FrameArena>(arenas_->pool);
+        arena->allocate(0, kBufferAlign);
+        arena->rewind();
+        arenas_->freeArenas.push_back(std::move(arena));
+    }
+}
 
 int
 SweepScheduler::resolveThreadCount(int requested)
@@ -482,8 +492,8 @@ SweepScheduler::acquireArena()
             return arena;
         }
     }
-    // First lease on this scheduler (or more workers than ever
-    // before): the only path that grows the arena roster.
+    // More concurrent leases than workers (not reached by run()):
+    // the only path that grows the arena roster.
     return std::make_unique<FrameArena>(arenas_->pool);
 }
 

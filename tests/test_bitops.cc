@@ -546,8 +546,8 @@ TEST_P(SimdKernelOracle, HashStripesMatchesScalar)
 INSTANTIATE_TEST_SUITE_P(
     AvailableIsas, SimdKernelOracle,
     ::testing::ValuesIn(simd::availableIsas()),
-    [](const ::testing::TestParamInfo<simd::Isa> &info) {
-        return std::string(simd::isaName(info.param));
+    [](const ::testing::TestParamInfo<simd::Isa> &isa_info) {
+        return std::string(simd::isaName(isa_info.param));
     });
 
 } // namespace

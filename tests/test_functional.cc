@@ -87,7 +87,7 @@ tracedLayer(const NetworkSpec &net, int crop, std::size_t index)
 }
 
 class FunctionalTileExactness
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {};
 
 TEST_P(FunctionalTileExactness, OmapMatchesDirectConvolution)
@@ -124,12 +124,15 @@ TEST_P(FunctionalTileExactness, CyclesMatchAnalyticModel)
 
 INSTANTIATE_TEST_SUITE_P(
     Layers, FunctionalTileExactness,
-    ::testing::Values(std::tuple{"DnCNN", 1}, std::tuple{"DnCNN", 19},
-                      std::tuple{"IRCNN", 3},  // dilation 4
-                      std::tuple{"VDSR", 0},   // single channel
-                      std::tuple{"FFDNet", 0}),
+    // std::string, not const char *: gtest prints a char pointer with
+    // its address, which would make the listed test name vary by build.
+    ::testing::Values(std::tuple<std::string, int>{"DnCNN", 1},
+                      std::tuple<std::string, int>{"DnCNN", 19},
+                      std::tuple<std::string, int>{"IRCNN", 3}, // dilation 4
+                      std::tuple<std::string, int>{"VDSR", 0}, // 1 channel
+                      std::tuple<std::string, int>{"FFDNet", 0}),
     [](const auto &name_info) {
-        return std::string(std::get<0>(name_info.param)) + "_L" +
+        return std::get<0>(name_info.param) + "_L" +
                std::to_string(std::get<1>(name_info.param));
     });
 

@@ -57,6 +57,14 @@ struct TableOneRow
     std::size_t maxLayerWeightKb;
 };
 
+/** Print the row by name: gtest's default byte dump would put the
+ *  name pointer's address into the listed test name, which then
+ *  changes from build to build. */
+void PrintTo(const TableOneRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
 class TableOne : public ::testing::TestWithParam<TableOneRow>
 {};
 

@@ -101,8 +101,13 @@ class TraceCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // One directory per test: ctest runs these tests as parallel
+        // processes, which must not remove each other's cache.
         dir_ = std::filesystem::temp_directory_path() /
-               "diffy_trace_cache_test";
+               ("diffy_trace_cache_test_" +
+                std::string(::testing::UnitTest::GetInstance()
+                                ->current_test_info()
+                                ->name()));
         std::filesystem::remove_all(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
