@@ -286,6 +286,28 @@ BM_IsaHashStripes(benchmark::State &state, const simd::KernelTable *kt)
 }
 
 void
+BM_IsaConvolveF32(benchmark::State &state, const simd::KernelTable *kt)
+{
+    // A CI-DNN body layer: 64 -> 64 channels, 3x3, on a 32x32 plane.
+    constexpr int kChannels = 64;
+    constexpr int kSize = 32;
+    Rng rng(17);
+    Tensor3<float> in(kChannels, kSize, kSize);
+    for (std::size_t i = 0; i < in.size(); ++i)
+        in.data()[i] = static_cast<float>(std::max(0.0, rng.gaussian()));
+    Tensor4<float> w(kChannels, kChannels, 3, 3);
+    for (std::size_t i = 0; i < w.size(); ++i)
+        w.data()[i] = static_cast<float>(rng.gaussian(0.0, 0.06));
+    for (auto _ : state) {
+        Tensor3<float> out = convolve(in, w, 1, 1, *kt);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kChannels * kChannels *
+                            9 * kSize * kSize);
+}
+
+void
 registerPerIsaBenches()
 {
     for (simd::Isa isa : simd::availableIsas()) {
@@ -303,6 +325,9 @@ registerPerIsaBenches()
             ("BM_IsaWalkSumMax" + suffix).c_str(), BM_IsaWalkSumMax, kt);
         benchmark::RegisterBenchmark(
             ("BM_IsaHashStripes" + suffix).c_str(), BM_IsaHashStripes,
+            kt);
+        benchmark::RegisterBenchmark(
+            ("BM_IsaConvolveF32" + suffix).c_str(), BM_IsaConvolveF32,
             kt);
     }
 }

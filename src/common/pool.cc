@@ -20,7 +20,7 @@ std::atomic<std::uint64_t> g_steadyFetches{0};
 /* The ambient scratch resource ArenaScope installs. A raw TLS pointer
  * (not a memo cache, but registered below all the same so sweep setup
  * provably starts arena-free on reused caller threads). */
-thread_local MemoryResource *t_scratch = nullptr;
+thread_local FrameArena *t_scratch = nullptr;
 
 void
 clearScratchResource()
@@ -35,7 +35,9 @@ DIFFY_REGISTER_THREAD_CACHE(common_pool_scratch, clearScratchResource);
 MemoryResource &
 scratchResource() noexcept
 {
-    return t_scratch != nullptr ? *t_scratch : heapResource();
+    if (t_scratch != nullptr)
+        return *t_scratch;
+    return heapResource();
 }
 
 /* ------------------------------------------------------------------ */
@@ -203,6 +205,23 @@ ArenaScope::ArenaScope(FrameArena &arena) noexcept : prev_(t_scratch)
 ArenaScope::~ArenaScope()
 {
     t_scratch = prev_;
+}
+
+/* ------------------------------------------------------------------ */
+/* ScratchRewind                                                       */
+/* ------------------------------------------------------------------ */
+
+ScratchRewind::ScratchRewind() noexcept
+    : arena_(t_scratch)
+{
+    if (arena_ != nullptr)
+        mark_ = arena_->checkpoint();
+}
+
+ScratchRewind::~ScratchRewind()
+{
+    if (arena_ != nullptr)
+        arena_->rewind(mark_);
 }
 
 } // namespace diffy

@@ -172,7 +172,29 @@ class ArenaScope
     ArenaScope &operator=(const ArenaScope &) = delete;
 
   private:
-    MemoryResource *prev_;
+    FrameArena *prev_;
+};
+
+/**
+ * RAII: when the calling thread's ambient scratch resource is a
+ * FrameArena, rewind it on destruction to where it stood at
+ * construction, so a transient buffer that dies inside the scope
+ * gives its space back to the rest of the frame instead of pinning it
+ * until the frame's own rewind(). A no-op outside an ArenaScope.
+ * Every arena allocation made inside the scope must be dead when the
+ * scope ends.
+ */
+class ScratchRewind
+{
+  public:
+    ScratchRewind() noexcept;
+    ~ScratchRewind();
+    ScratchRewind(const ScratchRewind &) = delete;
+    ScratchRewind &operator=(const ScratchRewind &) = delete;
+
+  private:
+    FrameArena *arena_;
+    FrameArena::Checkpoint mark_;
 };
 
 } // namespace diffy

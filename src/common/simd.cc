@@ -244,6 +244,50 @@ parseIsa(const std::string &name, Isa &out)
     return false;
 }
 
+void
+detail::portableConvolveF32(const float *in, const float *weights,
+                            float *out, const ConvF32Geometry &g)
+{
+    // One axpy per (f, c, ky, kx) over the whole output plane: each
+    // output still sums its taps in (c, ky, kx) order from +0.0f, and
+    // the unit-stride row loop auto-vectorizes on any target.
+    const std::size_t outPlane =
+        static_cast<std::size_t>(g.outH) * g.outW;
+    const std::size_t inPlane =
+        static_cast<std::size_t>(g.paddedH) * g.paddedW;
+    const std::size_t rowStep =
+        static_cast<std::size_t>(g.stride) * g.paddedW;
+    std::fill_n(out, g.filters * outPlane, 0.0f);
+    const float *w = weights;
+    for (int f = 0; f < g.filters; ++f) {
+        float *of = out + f * outPlane;
+        for (int c = 0; c < g.channels; ++c) {
+            for (int ky = 0; ky < g.kernel; ++ky) {
+                for (int kx = 0; kx < g.kernel; ++kx) {
+                    const float wv = *w++;
+                    if (wv == 0.0f)
+                        continue; // adds only +-0; pruned layers
+                    const float *ip =
+                        in + c * inPlane +
+                        static_cast<std::size_t>(ky * g.paddedW + kx) *
+                            g.dilation;
+                    float *op = of;
+                    for (int oy = 0; oy < g.outH;
+                         ++oy, ip += rowStep, op += g.outW) {
+                        if (g.stride == 1) {
+                            for (int ox = 0; ox < g.outW; ++ox)
+                                op[ox] += wv * ip[ox];
+                        } else {
+                            for (int ox = 0; ox < g.outW; ++ox)
+                                op[ox] += wv * ip[ox * g.stride];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 const KernelTable &
 scalarTable()
 {
@@ -252,6 +296,7 @@ scalarTable()
         &scalarBitsPlane16, &scalarBitsPlane32,  &scalarGroupBits16,
         &scalarGroupBits32, &scalarDeltaBits16,  &scalarAddSat16,
         &scalarWalkSumMax,  &scalarHashStripes,
+        &detail::portableConvolveF32,
     };
     return t;
 }

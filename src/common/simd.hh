@@ -4,8 +4,9 @@
  *
  * Every batched inner loop of the reproduction — term/bits planes,
  * group-header reductions, temporal delta pack/unpack, the
- * interior-column pallet walk, content-hash bulk mixing — runs
- * through one function-pointer KernelTable resolved once at startup.
+ * interior-column pallet walk, content-hash bulk mixing, the float
+ * convolution of the forward pass — runs through one
+ * function-pointer KernelTable resolved once at startup.
  * The scalar table is the PR 3 reference code and is always present;
  * SSE4/AVX2 (x86) and NEON (aarch64) tables are compiled in their own
  * translation units with per-TU -m flags, so the binary still runs on
@@ -48,6 +49,26 @@ const char *isaName(Isa isa);
 
 /** Parse an isaName() spelling; returns false on an unknown name. */
 bool parseIsa(const std::string &name, Isa &out);
+
+/**
+ * Geometry of one whole-layer float convolution (KernelTable::
+ * convolveF32). The caller zero-pads the input so that every tap of
+ * every output window lies inside the paddedH x paddedW plane:
+ * (outH - 1) * stride + (kernel - 1) * dilation < paddedH, and the
+ * same for the width.
+ */
+struct ConvF32Geometry
+{
+    int channels = 0;
+    int filters = 0;
+    int kernel = 0; ///< square kernel side
+    int stride = 1;
+    int dilation = 1;
+    int paddedH = 0;
+    int paddedW = 0;
+    int outH = 0;
+    int outW = 0;
+};
 
 /**
  * The dispatch table. One instance per compiled-in ISA; all entries
@@ -108,6 +129,21 @@ struct KernelTable
      */
     void (*hashStripes)(const unsigned char *p, std::size_t stripes,
                         std::uint32_t acc[8]) = nullptr;
+
+    /**
+     * Whole-layer float convolution over a zero-padded CHW input
+     * (geometry in @p g; weights are (filters, channels, k, k)):
+     * out[f][oy][ox] = the sum over (c, ky, kx), in that order and
+     * starting from +0.0f, of w[f][c][ky][kx] * in[c][oy * stride +
+     * ky * dilation][ox * stride + kx * dilation], each product and
+     * each sum rounded separately (no FMA). With finite inputs this
+     * is bit-identical to a bounds-checked loop that skips padding
+     * taps and zero weights: those terms are +-0 and the accumulator
+     * is never -0 (DESIGN.md §14). So an entry may skip zero weights
+     * or not, whichever is faster.
+     */
+    void (*convolveF32)(const float *in, const float *weights, float *out,
+                        const ConvF32Geometry &g) = nullptr;
 };
 
 /** The reference table (PR 3 scalar kernels); always available. */
@@ -142,6 +178,11 @@ namespace detail
 const KernelTable &sse4Table();
 const KernelTable &avx2Table();
 const KernelTable &neonTable();
+
+// The portable convolveF32 entry of the scalar table, shared by the
+// tables that do not vectorize it.
+void portableConvolveF32(const float *in, const float *weights,
+                         float *out, const ConvF32Geometry &g);
 
 } // namespace detail
 

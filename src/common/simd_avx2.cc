@@ -1,10 +1,10 @@
 /**
  * @file
  * AVX2 kernel table, compiled with -mavx2 in this TU only. The
- * plane kernels run 256-bit lanes; the short-group, walk and hash
- * kernels reuse the shared 128-bit implementations (group sizes and
- * window widths rarely exceed 16, so wider registers buy nothing
- * there).
+ * plane kernels and the convolution tiles run 256-bit lanes; the
+ * short-group, walk and hash kernels reuse the shared 128-bit
+ * implementations (group sizes and window widths rarely exceed 16,
+ * so wider registers buy nothing there).
  */
 
 #include "common/simd.hh"
@@ -184,6 +184,30 @@ avx2BitsPlane32(const std::int32_t *src, std::uint8_t *dst,
         x86::bitsPlane32(src + i, dst + i, n - i);
 }
 
+/**
+ * 256-bit float lanes for the convolution tiles. This TU has no
+ * -mfma, and the project builds with -ffp-contract=off, so every
+ * mul/add pair stays two roundings.
+ */
+struct F32x8
+{
+    using V = __m256;
+    static constexpr int kLanes = 8;
+
+    static V zero() { return _mm256_setzero_ps(); }
+    static V broadcast(const float *p) { return _mm256_broadcast_ss(p); }
+    static V load(const float *p) { return _mm256_loadu_ps(p); }
+    static V
+    loadStrided(const float *p, std::size_t s)
+    {
+        return _mm256_setr_ps(p[0], p[s], p[2 * s], p[3 * s], p[4 * s],
+                              p[5 * s], p[6 * s], p[7 * s]);
+    }
+    static void store(float *p, V v) { _mm256_storeu_ps(p, v); }
+    static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+    static V add(V a, V b) { return _mm256_add_ps(a, b); }
+};
+
 } // namespace
 
 namespace detail
@@ -197,6 +221,7 @@ avx2Table()
         &avx2BitsPlane16,   &avx2BitsPlane32,  &x86::groupBits16,
         &x86::groupBits32,  &x86::deltaBits16, &x86::addSat16,
         &x86::walkSumMax,   &x86::hashStripes,
+        &x86::convolveF32<F32x8>,
     };
     return t;
 }

@@ -26,6 +26,8 @@
 
 #include <immintrin.h>
 
+#include "common/simd.hh"
+
 namespace diffy::simd::x86
 {
 
@@ -425,6 +427,205 @@ hashStripes(const unsigned char *p, std::size_t stripes,
     }
     _mm_storeu_si128(reinterpret_cast<__m128i *>(acc), a0);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + 4), a1);
+}
+
+/** 128-bit float lanes for the convolution tiles (convolveF32). */
+struct F32x4
+{
+    using V = __m128;
+    static constexpr int kLanes = 4;
+
+    static V zero() { return _mm_setzero_ps(); }
+    static V broadcast(const float *p) { return _mm_set1_ps(*p); }
+    static V load(const float *p) { return _mm_loadu_ps(p); }
+    static V
+    loadStrided(const float *p, std::size_t s)
+    {
+        return _mm_setr_ps(p[0], p[s], p[2 * s], p[3 * s]);
+    }
+    static void store(float *p, V v) { _mm_storeu_ps(p, v); }
+    static V mul(V a, V b) { return _mm_mul_ps(a, b); }
+    static V add(V a, V b) { return _mm_add_ps(a, b); }
+};
+
+/** How a convolution tile reads its input columns. */
+enum class ConvCols
+{
+    Contiguous, ///< stride 1: whole-vector loads
+    Strided,    ///< stride > 1: lane-by-lane gathers
+    Partial,    ///< the row's last < kLanes columns, any stride
+};
+
+/**
+ * Exact-width tail load: lanes [0, n) take p[j * s], the rest are
+ * zero. Only the n addressed floats are read (the SNIPPETS.md
+ * loadPartial idiom, through a stack lane buffer).
+ */
+template <class Ops>
+inline typename Ops::V
+loadPartial(const float *p, std::size_t s, int n)
+{
+    alignas(32) float lanes[Ops::kLanes] = {};
+    for (int j = 0; j < n; ++j)
+        lanes[j] = p[j * s];
+    return Ops::load(lanes);
+}
+
+/** Exact-width tail store of lanes [0, n) of @p v. */
+template <class Ops>
+inline void
+storePartial(float *p, typename Ops::V v, int n)
+{
+    alignas(32) float lanes[Ops::kLanes] = {};
+    Ops::store(lanes, v);
+    std::memcpy(p, lanes, static_cast<std::size_t>(n) * sizeof(float));
+}
+
+/**
+ * One register tile of the whole-layer convolution: NF filters x NV
+ * vectors of output columns of row @p oy, starting at column @p x0.
+ * The NF * NV accumulators stay in registers across the whole
+ * (c, ky, kx) reduction, each step a separate multiply and add, and
+ * every output is stored once. Zero weights are not skipped: a tap is
+ * dead only when all NF of its weights are, and testing for that on
+ * every tap made fig 20 (up to 90% pruned) slower overall (DESIGN.md
+ * §14). A Partial tile has NV == 1 and covers only @p ncols
+ * (< kLanes) columns.
+ */
+template <class Ops, int NF, int NV, ConvCols Cols>
+inline void
+convTile(const float *in, const float *w, float *out,
+         const ConvF32Geometry &g, int oy, int f0, int x0, int ncols)
+{
+    using V = typename Ops::V;
+    constexpr int kL = Ops::kLanes;
+    const std::size_t s = static_cast<std::size_t>(g.stride);
+    const std::size_t plane =
+        static_cast<std::size_t>(g.paddedH) * g.paddedW;
+    const std::size_t rowStep =
+        static_cast<std::size_t>(g.dilation) * g.paddedW;
+    const std::size_t filterTaps =
+        static_cast<std::size_t>(g.channels) * g.kernel * g.kernel;
+    const float *window = in +
+                          static_cast<std::size_t>(oy) * s * g.paddedW +
+                          static_cast<std::size_t>(x0) * s;
+    const float *wt = w + static_cast<std::size_t>(f0) * filterTaps;
+
+    V acc[NF][NV];
+    for (int i = 0; i < NF; ++i)
+        for (int v = 0; v < NV; ++v)
+            acc[i][v] = Ops::zero();
+
+    for (int c = 0; c < g.channels; ++c, window += plane) {
+        // GCC keeps an accumulator array in registers only inside a
+        // single loop nest; across the channel loop it would spill acc
+        // on every tap, so each channel works on a register copy.
+        V a[NF][NV];
+        for (int i = 0; i < NF; ++i)
+            for (int v = 0; v < NV; ++v)
+                a[i][v] = acc[i][v];
+        const float *row = window;
+        for (int ky = 0; ky < g.kernel; ++ky, row += rowStep) {
+            for (int kx = 0; kx < g.kernel; ++kx, ++wt) {
+                const float *p =
+                    row + static_cast<std::size_t>(kx) * g.dilation;
+                V x[NV];
+                for (int v = 0; v < NV; ++v) {
+                    if constexpr (Cols == ConvCols::Contiguous)
+                        x[v] = Ops::load(p + v * kL);
+                    else if constexpr (Cols == ConvCols::Strided)
+                        x[v] = Ops::loadStrided(p + v * kL * s, s);
+                    else
+                        x[v] = loadPartial<Ops>(p, s, ncols);
+                }
+                for (int i = 0; i < NF; ++i) {
+                    const V wv = Ops::broadcast(wt + i * filterTaps);
+                    for (int v = 0; v < NV; ++v)
+                        a[i][v] = Ops::add(a[i][v], Ops::mul(wv, x[v]));
+                }
+            }
+        }
+        for (int i = 0; i < NF; ++i)
+            for (int v = 0; v < NV; ++v)
+                acc[i][v] = a[i][v];
+    }
+
+    for (int i = 0; i < NF; ++i) {
+        float *o = out +
+                   (static_cast<std::size_t>(f0 + i) * g.outH + oy) *
+                       g.outW +
+                   x0;
+        for (int v = 0; v < NV; ++v) {
+            if constexpr (Cols == ConvCols::Partial)
+                storePartial<Ops>(o, acc[i][v], ncols);
+            else
+                Ops::store(o + v * kL, acc[i][v]);
+        }
+    }
+}
+
+/**
+ * Every column tile of output row @p oy for NF filters: tiles of
+ * 2 * kLanes columns, then one of kLanes, then an exact-width tail.
+ */
+template <class Ops, int NF, ConvCols Cols>
+inline void
+convRow(const float *in, const float *w, float *out,
+        const ConvF32Geometry &g, int oy, int f0)
+{
+    constexpr int kL = Ops::kLanes;
+    int x0 = 0;
+    for (; x0 + 2 * kL <= g.outW; x0 += 2 * kL)
+        convTile<Ops, NF, 2, Cols>(in, w, out, g, oy, f0, x0, 0);
+    if (x0 + kL <= g.outW) {
+        convTile<Ops, NF, 1, Cols>(in, w, out, g, oy, f0, x0, 0);
+        x0 += kL;
+    }
+    if (x0 < g.outW)
+        convTile<Ops, NF, 1, ConvCols::Partial>(in, w, out, g, oy, f0,
+                                                x0, g.outW - x0);
+}
+
+/**
+ * KernelTable::convolveF32 over the lanes of @p Ops: output rows
+ * outermost (the k input rows they read stay cache-resident across
+ * filter blocks), then blocks of 4 filters (the remainder as one
+ * narrower block), then column tiles.
+ */
+template <class Ops, ConvCols Cols>
+inline void
+convRows(const float *in, const float *w, float *out,
+         const ConvF32Geometry &g)
+{
+    for (int oy = 0; oy < g.outH; ++oy) {
+        int f0 = 0;
+        for (; f0 + 4 <= g.filters; f0 += 4)
+            convRow<Ops, 4, Cols>(in, w, out, g, oy, f0);
+        switch (g.filters - f0) {
+          case 3:
+            convRow<Ops, 3, Cols>(in, w, out, g, oy, f0);
+            break;
+          case 2:
+            convRow<Ops, 2, Cols>(in, w, out, g, oy, f0);
+            break;
+          case 1:
+            convRow<Ops, 1, Cols>(in, w, out, g, oy, f0);
+            break;
+          default:
+            break;
+        }
+    }
+}
+
+template <class Ops>
+inline void
+convolveF32(const float *in, const float *weights, float *out,
+            const ConvF32Geometry &g)
+{
+    if (g.stride == 1)
+        convRows<Ops, ConvCols::Contiguous>(in, weights, out, g);
+    else
+        convRows<Ops, ConvCols::Strided>(in, weights, out, g);
 }
 
 } // namespace

@@ -8,7 +8,9 @@
 
 #include "common/cache_registry.hh"
 #include "common/fixed_point.hh"
+#include "common/pool.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -17,7 +19,7 @@ namespace diffy
 
 Tensor3<float>
 convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
-         int stride, int dilation)
+         int stride, int dilation, const simd::KernelTable &kernels)
 {
     const int in_c = input.channels();
     const int in_h = input.height();
@@ -31,51 +33,46 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
     const int out_w = (in_w + 2 * pad - eff_k) / stride + 1;
 
     Tensor3<float> out(weights.filters(), out_h, out_w,
-                       scratchAlloc<float>(), 0.0f);
-    for (int f = 0; f < weights.filters(); ++f) {
-        float *out_base = out.data() +
-                          static_cast<std::size_t>(f) * out_h * out_w;
-        for (int c = 0; c < in_c; ++c) {
-            const float *in_base = input.data() +
-                                   static_cast<std::size_t>(c) * in_h * in_w;
-            for (int ky = 0; ky < k; ++ky) {
-                for (int kx = 0; kx < k; ++kx) {
-                    float wv = weights.at(f, c, ky, kx);
-                    if (wv == 0.0f)
-                        continue;
-                    int dy = ky * dilation - pad;
-                    int dx = kx * dilation - pad;
-                    for (int oy = 0; oy < out_h; ++oy) {
-                        int iy = oy * stride + dy;
-                        if (iy < 0 || iy >= in_h)
-                            continue;
-                        const float *in_row = in_base +
-                            static_cast<std::size_t>(iy) * in_w;
-                        float *out_row = out_base +
-                            static_cast<std::size_t>(oy) * out_w;
-                        // Valid ox range: 0 <= ox*stride + dx < in_w.
-                        int ox_lo = 0;
-                        if (dx < 0)
-                            ox_lo = (-dx + stride - 1) / stride;
-                        const int ox_hi =
-                            std::min(out_w, (in_w - 1 - dx) / stride + 1);
-                        if (stride == 1) {
-                            const float *ip = in_row + dx + ox_lo;
-                            float *op = out_row + ox_lo;
-                            for (int ox = ox_lo; ox < ox_hi; ++ox)
-                                *op++ += wv * *ip++;
-                        } else {
-                            for (int ox = ox_lo; ox < ox_hi; ++ox) {
-                                out_row[ox] +=
-                                    wv * in_row[ox * stride + dx];
-                            }
-                        }
-                    }
-                }
-            }
+                       scratchAlloc<float>());
+    // One zero-padded copy of the input, large enough for every tap
+    // of every output window, so the kernel runs without bounds
+    // checks. Padding taps add w * 0 == +-0, which leaves every
+    // finite sum bit-identical to skipping them
+    // (KernelTable::convolveF32). The copy is dead once the kernel
+    // returns, so its arena space goes back to the frame.
+    ScratchRewind transient;
+    simd::ConvF32Geometry g;
+    g.channels = in_c;
+    g.filters = weights.filters();
+    g.kernel = k;
+    g.stride = stride;
+    g.dilation = dilation;
+    g.paddedH = std::max(in_h + 2 * pad, (out_h - 1) * stride + eff_k);
+    g.paddedW = std::max(in_w + 2 * pad, (out_w - 1) * stride + eff_k);
+    g.outH = out_h;
+    g.outW = out_w;
+    Tensor3<float> padded(in_c, g.paddedH, g.paddedW,
+                          scratchAlloc<float>());
+    for (int c = 0; c < in_c; ++c) {
+        for (int y = 0; y < in_h; ++y) {
+            const std::size_t src =
+                (static_cast<std::size_t>(c) * in_h + y) * in_w;
+            const std::size_t dst =
+                (static_cast<std::size_t>(c) * g.paddedH + y + pad) *
+                    g.paddedW +
+                pad;
+            std::copy_n(input.data() + src, in_w, padded.data() + dst);
         }
     }
+    kernels.convolveF32(padded.data(), weights.data(), out.data(), g);
     return out;
+}
+
+Tensor3<float>
+convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
+         int stride, int dilation)
+{
+    return convolve(input, weights, stride, dilation, simd::kernels());
 }
 
 Tensor3<float>
@@ -283,17 +280,29 @@ quantizeTensor(const Tensor3<float> &t, double rel_error,
     return out;
 }
 
-/**
- * Synthesized weights of one layer, in both the quantized form the
- * trace carries and the dequantized float form the forward pass
- * consumes.
- */
+/** Synthesized weights of one layer, in the quantized form. */
 struct PreparedWeights
 {
     FilterBankI16 quantized;
     int fracBits = 0;
-    Tensor4<float> dequantized;
 };
+
+/**
+ * The float weights the forward pass consumes, on the scratch
+ * resource. q * 2^-frac is exact in float (q has at most 16
+ * significant bits); rebuilding it per pass costs one multiply per
+ * weight, 1/(H*W) of the convolution, and keeps the per-worker memo
+ * at 2 bytes per weight instead of 6.
+ */
+Tensor4<float>
+dequantizeWeights(const PreparedWeights &pw)
+{
+    Tensor4<float> out(pw.quantized.shape(), scratchAlloc<float>());
+    const float scale = std::ldexp(1.0f, -pw.fracBits);
+    for (std::size_t i = 0; i < pw.quantized.size(); ++i)
+        out.data()[i] = static_cast<float>(pw.quantized.data()[i]) * scale;
+    return out;
+}
 
 // thread_local keeps sweep workers lock-free (same idiom as the
 // sim/encode memo caches); cleared through the central registry
@@ -306,10 +315,9 @@ preparedWeightsCache()
 }
 
 /**
- * Memoized weight synthesis + dequantization. Weight generation is a
- * pure function of (network, layer, options), and sweeps replay the
- * same network over many scenes — so the per-frame gaussian synthesis
- * and the float rebuild were pure waste.
+ * Memoized weight synthesis. Weight generation is a pure function of
+ * (network, layer, options), and sweeps replay the same network over
+ * many scenes — so the per-frame gaussian synthesis was pure waste.
  */
 const PreparedWeights &
 preparedWeights(const NetworkSpec &net, const ConvLayerSpec &layer,
@@ -329,15 +337,6 @@ preparedWeights(const NetworkSpec &net, const ConvLayerSpec &layer,
     if (it == cache.end()) {
         PreparedWeights pw;
         pw.quantized = synthesizeWeights(net, layer, opts, &pw.fracBits);
-        const auto &shape = pw.quantized.shape();
-        pw.dequantized =
-            Tensor4<float>(shape.k, shape.c, shape.h, shape.w);
-        const double wscale =
-            static_cast<double>(std::int64_t{1} << pw.fracBits);
-        for (std::size_t i = 0; i < pw.quantized.size(); ++i) {
-            pw.dequantized.data()[i] =
-                static_cast<float>(pw.quantized.data()[i] / wscale);
-        }
         it = cache.emplace(std::move(key), std::move(pw)).first;
     }
     return it->second;
@@ -442,9 +441,9 @@ runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
         activ = adaptToLayer(std::move(activ), cur_divisor, layer);
         cur_divisor = layer.resolutionDivisor;
 
-        // Weight synthesis and dequantization are hoisted into a
-        // per-(net, layer, options) memo: scene sweeps rebuild the
-        // same banks for every frame otherwise.
+        // Weight synthesis is hoisted into a per-(net, layer,
+        // options) memo: scene sweeps rebuild the same banks for
+        // every frame otherwise.
         const PreparedWeights &pw = preparedWeights(net, layer, opts);
 
         LayerTrace lt;
@@ -458,8 +457,8 @@ runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
                                  &lt.imapFracBits);
 
         // Float forward for the next layer's input.
-        Tensor3<float> out = convolve(activ, pw.dequantized, layer.stride,
-                                      layer.dilation);
+        Tensor3<float> out = convolve(activ, dequantizeWeights(pw),
+                                      layer.stride, layer.dilation);
         if (layer.relu) {
             for (std::size_t i = 0; i < out.size(); ++i) {
                 if (out.data()[i] < 0.0f)

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 
+#include "common/simd.hh"
 #include "nn/layer.hh"
 #include "nn/trace.hh"
 #include "tensor/tensor.hh"
@@ -78,13 +79,21 @@ NetworkTrace runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
                         const ExecutorOptions &opts = {});
 
 /**
- * Reference direct convolution in float (same-padding, stride,
- * dilation). Used by the executor and as the golden model for the
- * fixed-point differential-convolution tests.
+ * Direct convolution in float (same-padding, stride, dilation) through
+ * the dispatched KernelTable::convolveF32. Used by the executor and
+ * as the golden model for the fixed-point differential-convolution
+ * tests. Each output sums its (c, ky, kx) taps in order from +0.0f
+ * with separate multiply and add, so with finite inputs the result
+ * is the same on every kernel table and build.
  */
 Tensor3<float> convolve(const Tensor3<float> &input,
                         const Tensor4<float> &weights,
                         int stride, int dilation);
+
+/** convolve() through an explicit kernel table (oracle tests). */
+Tensor3<float> convolve(const Tensor3<float> &input,
+                        const Tensor4<float> &weights, int stride,
+                        int dilation, const simd::KernelTable &kernels);
 
 /** 2x2 (or larger) max pooling by an integer factor. */
 Tensor3<float> maxPool(const Tensor3<float> &input, int factor);

@@ -137,6 +137,22 @@ TEST(ArenaScope, InstallsAndRestoresAmbientScratch)
     EXPECT_EQ(&scratchResource(), &heapResource());
 }
 
+TEST(ScratchRewind, GivesTransientArenaSpaceBackToTheFrame)
+{
+    BufferPool pool;
+    FrameArena arena(pool);
+    ArenaScope scope(arena);
+    AlignedVec<float> kept(64, 0.0f, scratchAlloc<float>());
+    const FrameArena::Checkpoint before = arena.checkpoint();
+    {
+        ScratchRewind transient;
+        AlignedVec<float> scratch(1000, 0.0f, scratchAlloc<float>());
+        EXPECT_GT(arena.checkpoint().offset, before.offset);
+    }
+    EXPECT_EQ(arena.checkpoint().slab, before.slab);
+    EXPECT_EQ(arena.checkpoint().offset, before.offset);
+}
+
 /* ------------------------------------------------------------------ */
 /* Allocator propagation regression (the POCCA/POCMA/POCS contract)    */
 /* ------------------------------------------------------------------ */

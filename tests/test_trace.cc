@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/bitops.hh"
 #include "core/trace_cache.hh"
 #include "image/synth.hh"
 #include "obs/metrics.hh"
@@ -72,6 +73,36 @@ TEST(TraceSerialization, RejectsTruncation)
     std::string full = ss.str();
     std::stringstream truncated(full.substr(0, full.size() / 2));
     EXPECT_THROW(loadTrace(truncated), std::runtime_error);
+}
+
+/**
+ * Build independence of the forward pass: CRC-32C (a stable wire
+ * checksum) over every imap of FFDNet on a fractal and a hard-edged
+ * 16x16 scene. Every convolution output sums its taps in a fixed
+ * order with separate roundings and the project builds with
+ * -ffp-contract=off, so the default build, -DDIFFY_NATIVE=ON and
+ * DIFFY_ISA=scalar must all reproduce this constant (ctest and CI run
+ * all three). A -march=native build that contracts to FMA fails it.
+ */
+TEST(TraceDigest, FfdNetImapsAreBuildIndependent)
+{
+    std::uint32_t crc = 0;
+    for (SceneKind kind : {SceneKind::Nature, SceneKind::City}) {
+        SceneParams p;
+        p.kind = kind;
+        p.width = 16;
+        p.height = 16;
+        p.seed = 5;
+        const NetworkTrace trace =
+            runNetwork(makeFfdNet(), renderScene(p));
+        for (const LayerTrace &lt : trace.layers) {
+            const std::int32_t frac = lt.imapFracBits;
+            crc = crc32c(&frac, sizeof frac, crc);
+            crc = crc32c(lt.imap.data(),
+                         lt.imap.size() * sizeof(std::int16_t), crc);
+        }
+    }
+    EXPECT_EQ(crc, 0x22C0D960u);
 }
 
 TEST(TraceSerialization, ChecksumCatchesSingleFlippedByte)
