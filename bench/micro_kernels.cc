@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the hot kernels: Booth-term
  * counting, the activation codecs, the direct and differential
- * fixed-point convolutions, and the PRA/Diffy pallet walk.
+ * fixed-point convolutions, the whole-layer float and fixed-point
+ * convolution kernels, and the PRA/Diffy pallet walk.
  *
  * The BM_Isa* family is registered at startup once per available
  * kernel table (common/simd.hh), so one run records scalar, SSE4 and
@@ -13,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -21,6 +23,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "core/differential_conv.hh"
+#include "core/temporal.hh"
 #include "encode/schemes.hh"
 #include "image/synth.hh"
 #include "nn/executor.hh"
@@ -308,6 +311,33 @@ BM_IsaConvolveF32(benchmark::State &state, const simd::KernelTable *kt)
 }
 
 void
+BM_IsaConvolveI32(benchmark::State &state, const simd::KernelTable *kt)
+{
+    // A served MicroServe body layer on a temporal delta: 8 -> 8
+    // channels, 3x3, 64x64, with the pan workload's delta density
+    // (about 0.45 nonzero) and 17-bit magnitudes.
+    constexpr int kChannels = 8;
+    constexpr int kSize = 64;
+    Rng rng(29);
+    TensorI32 delta(kChannels, kSize, kSize);
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+        if (rng.below(100) < 45)
+            delta.data()[i] = static_cast<std::int32_t>(
+                std::clamp(rng.gaussian(0.0, 3000.0), -65535.0, 65535.0));
+    }
+    FilterBankI16 bank(kChannels, kChannels, 3, 3);
+    for (std::size_t i = 0; i < bank.size(); ++i)
+        bank.data()[i] = static_cast<std::int16_t>(rng.gaussian(0.0, 900.0));
+    for (auto _ : state) {
+        TensorI32 out = convolveTemporalDelta(delta, bank, 1, 1, *kt);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kChannels * kChannels *
+                            9 * kSize * kSize);
+}
+
+void
 registerPerIsaBenches()
 {
     for (simd::Isa isa : simd::availableIsas()) {
@@ -328,6 +358,9 @@ registerPerIsaBenches()
             kt);
         benchmark::RegisterBenchmark(
             ("BM_IsaConvolveF32" + suffix).c_str(), BM_IsaConvolveF32,
+            kt);
+        benchmark::RegisterBenchmark(
+            ("BM_IsaConvolveI32" + suffix).c_str(), BM_IsaConvolveI32,
             kt);
     }
 }

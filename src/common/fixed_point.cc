@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace diffy
 {
@@ -14,6 +15,15 @@ saturate16(std::int64_t v)
     if (v < std::numeric_limits<std::int16_t>::min())
         return std::numeric_limits<std::int16_t>::min();
     return static_cast<std::int16_t>(v);
+}
+
+std::int32_t
+clampToI32(std::int64_t v, const char *what)
+{
+    if (v > std::numeric_limits<std::int32_t>::max() ||
+        v < std::numeric_limits<std::int32_t>::min())
+        throw std::overflow_error(what);
+    return static_cast<std::int32_t>(v);
 }
 
 std::int16_t

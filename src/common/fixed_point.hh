@@ -21,6 +21,13 @@ namespace diffy
 /** Saturate @p v to the int16 range. */
 std::int16_t saturate16(std::int64_t v);
 
+/**
+ * Narrow an exact int64 accumulator to int32, throwing
+ * std::overflow_error(@p what) when it does not fit: the fixed-point
+ * convolutions keep a hard check rather than wrapping silently.
+ */
+std::int32_t clampToI32(std::int64_t v, const char *what);
+
 /** Quantize a real value to Q(15 - fracBits).fracBits with saturation. */
 std::int16_t quantize16(double v, int frac_bits);
 

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <bit>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "common/cache_registry.hh"
 
@@ -26,6 +29,23 @@ void
 clearScratchResource()
 {
     t_scratch = nullptr;
+}
+
+/**
+ * A pool block of @p bytes, as mapped pages. From the general heap a
+ * freed block would stay with the allocator: glibc raises its mmap
+ * threshold after the first large free, and a freed 1 MiB arena slab
+ * then lingers in its arenas. Mapped blocks go back to the OS when
+ * the pool dies.
+ */
+void *
+fetchBlock(std::size_t bytes)
+{
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
 }
 
 } // namespace
@@ -53,7 +73,7 @@ BufferPool::~BufferPool()
     for (std::size_t idx = 1; idx < free_.size(); ++idx) {
         const std::size_t bytes = std::size_t{1} << (idx - 1);
         for (void *p : free_[idx]) {
-            alignedFree(p, kBufferAlign);
+            ::munmap(p, bytes);
             g_bytesInUse.fetch_sub(bytes,
                                    std::memory_order_relaxed);
         }
@@ -92,7 +112,7 @@ BufferPool::acquire(std::size_t min_bytes, std::size_t &block_bytes)
         }
     }
     g_bytesInUse.fetch_add(want, std::memory_order_relaxed);
-    return alignedAlloc(want, kBufferAlign);
+    return fetchBlock(want);
 }
 
 void

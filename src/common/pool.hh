@@ -7,10 +7,11 @@
  * Ownership and lifetime contract (DESIGN.md section 16):
  *
  *  - A BufferPool is owned by a long-lived orchestrator
- *    (StreamServer, SweepScheduler). It hands out 32-byte-aligned
+ *    (StreamServer, SweepScheduler). It hands out page-aligned
  *    power-of-two blocks and keeps every freed block cached for
- *    reuse; memory returns to the heap only when the pool is
- *    destroyed.
+ *    reuse; memory returns only when the pool is destroyed. Blocks
+ *    are mapped pages, so their memory goes back to the OS right
+ *    then.
  *  - A FrameArena draws slabs from its pool and bump-allocates out of
  *    them. rewind() makes every past allocation invalid but keeps the
  *    slabs, so the next frame runs allocation-free once the arena has
@@ -42,7 +43,7 @@ namespace diffy
 {
 
 /**
- * Size-bucketed cache of 32-byte-aligned heap blocks. Thread-safe;
+ * Size-bucketed cache of mapped, page-aligned blocks. Thread-safe;
  * blocks are bucketed by power-of-two size (minimum 64 bytes) and
  * freed blocks are retained until the pool is destroyed.
  */

@@ -246,7 +246,7 @@ parseIsa(const std::string &name, Isa &out)
 
 void
 detail::portableConvolveF32(const float *in, const float *weights,
-                            float *out, const ConvF32Geometry &g)
+                            float *out, const ConvGeometry &g)
 {
     // One axpy per (f, c, ky, kx) over the whole output plane: each
     // output still sums its taps in (c, ky, kx) order from +0.0f, and
@@ -288,6 +288,86 @@ detail::portableConvolveF32(const float *in, const float *weights,
     }
 }
 
+bool
+detail::portableConvolveI32(const std::int32_t *in,
+                            const std::int16_t *weights, std::int32_t *out,
+                            const ConvGeometry &g)
+{
+    // Row axpys over a stack block of int64 accumulators: each output
+    // row is cut into blocks of kBlock columns, and every (c, ky, kx)
+    // tap of filter f adds w * input row into the block. Zero weights
+    // add nothing, so they are skipped.
+    constexpr int kBlock = 256;
+    std::int64_t acc[kBlock];
+    const std::size_t inPlane =
+        static_cast<std::size_t>(g.paddedH) * g.paddedW;
+    const std::size_t filterTaps =
+        static_cast<std::size_t>(g.channels) * g.kernel * g.kernel;
+    const std::size_t s = static_cast<std::size_t>(g.stride);
+    bool ok = true;
+    for (int f = 0; f < g.filters; ++f) {
+        const std::int16_t *wf = weights + f * filterTaps;
+        for (int oy = 0; oy < g.outH; ++oy) {
+            std::int32_t *orow =
+                out + (static_cast<std::size_t>(f) * g.outH + oy) * g.outW;
+            for (int x0 = 0; x0 < g.outW; x0 += kBlock) {
+                const int n = std::min(kBlock, g.outW - x0);
+                std::fill_n(acc, n, std::int64_t{0});
+                const std::int16_t *w = wf;
+                for (int c = 0; c < g.channels; ++c) {
+                    for (int ky = 0; ky < g.kernel; ++ky) {
+                        const std::int32_t *row =
+                            in + c * inPlane +
+                            (static_cast<std::size_t>(oy) * s +
+                             static_cast<std::size_t>(ky) * g.dilation) *
+                                g.paddedW +
+                            static_cast<std::size_t>(x0) * s;
+                        for (int kx = 0; kx < g.kernel; ++kx) {
+                            const std::int64_t wv = *w++;
+                            if (wv == 0)
+                                continue;
+                            const std::int32_t *ip =
+                                row + static_cast<std::size_t>(kx) *
+                                          g.dilation;
+                            if (s == 1) {
+                                for (int j = 0; j < n; ++j)
+                                    acc[j] += wv * ip[j];
+                            } else {
+                                for (int j = 0; j < n; ++j)
+                                    acc[j] += wv * ip[j * s];
+                            }
+                        }
+                    }
+                }
+                for (int j = 0; j < n; ++j) {
+                    orow[x0 + j] = static_cast<std::int32_t>(acc[j]);
+                    ok = ok && orow[x0 + j] == acc[j];
+                }
+            }
+        }
+    }
+    return ok;
+}
+
+ConvGeometry
+sameConvGeometry(int channels, int filters, int inH, int inW, int kernel,
+                 int stride, int dilation)
+{
+    ConvGeometry g;
+    g.channels = channels;
+    g.filters = filters;
+    g.kernel = kernel;
+    g.stride = stride;
+    g.dilation = dilation;
+    const int effK = dilation * (kernel - 1) + 1;
+    g.pad = (effK - 1) / 2;
+    g.outH = (inH + 2 * g.pad - effK) / stride + 1;
+    g.outW = (inW + 2 * g.pad - effK) / stride + 1;
+    g.paddedH = std::max(inH + 2 * g.pad, (g.outH - 1) * stride + effK);
+    g.paddedW = std::max(inW + 2 * g.pad, (g.outW - 1) * stride + effK);
+    return g;
+}
+
 const KernelTable &
 scalarTable()
 {
@@ -296,7 +376,7 @@ scalarTable()
         &scalarBitsPlane16, &scalarBitsPlane32,  &scalarGroupBits16,
         &scalarGroupBits32, &scalarDeltaBits16,  &scalarAddSat16,
         &scalarWalkSumMax,  &scalarHashStripes,
-        &detail::portableConvolveF32,
+        &detail::portableConvolveF32, &detail::portableConvolveI32,
     };
     return t;
 }

@@ -5,7 +5,8 @@
  * Every batched inner loop of the reproduction — term/bits planes,
  * group-header reductions, temporal delta pack/unpack, the
  * interior-column pallet walk, content-hash bulk mixing, the float
- * convolution of the forward pass — runs through one
+ * convolution of the forward pass and the fixed-point convolution of
+ * temporal serving — runs through one
  * function-pointer KernelTable resolved once at startup.
  * The scalar table is the PR 3 reference code and is always present;
  * SSE4/AVX2 (x86) and NEON (aarch64) tables are compiled in their own
@@ -51,24 +52,36 @@ const char *isaName(Isa isa);
 bool parseIsa(const std::string &name, Isa &out);
 
 /**
- * Geometry of one whole-layer float convolution (KernelTable::
- * convolveF32). The caller zero-pads the input so that every tap of
- * every output window lies inside the paddedH x paddedW plane:
+ * Geometry of one whole-layer convolution (KernelTable::convolveF32
+ * and convolveI32). The caller zero-pads the input so that every tap
+ * of every output window lies inside the paddedH x paddedW plane:
  * (outH - 1) * stride + (kernel - 1) * dilation < paddedH, and the
- * same for the width.
+ * same for the width. The kernels read only the padded plane; pad is
+ * where the caller puts the unpadded input inside it.
  */
-struct ConvF32Geometry
+struct ConvGeometry
 {
     int channels = 0;
     int filters = 0;
     int kernel = 0; ///< square kernel side
     int stride = 1;
     int dilation = 1;
+    int pad = 0; ///< zero rows/columns before the input, each side
     int paddedH = 0;
     int paddedW = 0;
     int outH = 0;
     int outW = 0;
 };
+
+/**
+ * The same-padding geometry every convolution of the reproduction
+ * uses: pad = (dilation * (kernel - 1)) / 2, out = (in + 2 * pad -
+ * effective kernel) / stride + 1 (truncating), and a padded plane
+ * that also covers the window of an output the truncation rounds up
+ * to (an even kernel on a plane smaller than its window).
+ */
+ConvGeometry sameConvGeometry(int channels, int filters, int inH, int inW,
+                              int kernel, int stride, int dilation);
 
 /**
  * The dispatch table. One instance per compiled-in ISA; all entries
@@ -143,7 +156,25 @@ struct KernelTable
      * or not, whichever is faster.
      */
     void (*convolveF32)(const float *in, const float *weights, float *out,
-                        const ConvF32Geometry &g) = nullptr;
+                        const ConvGeometry &g) = nullptr;
+
+    /**
+     * Whole-layer fixed-point convolution over a zero-padded CHW int32
+     * input, with int16 weights (filters, channels, k, k) in the
+     * layout of convolveF32: out[f][oy][ox] = the sum over (c, ky, kx)
+     * of w[f][c][ky][kx] * in[c][oy * stride + ky * dilation][ox *
+     * stride + kx * dilation], accumulated in int64 and narrowed to
+     * int32. Returns false when some output's sum lies outside int32
+     * (the caller throws; that output's value is unspecified).
+     *
+     * Every product is exact in int64 (|in| < 2^31, |w| <= 2^15), and
+     * so is every partial sum below 2^17 taps per output. Integer
+     * addition is associative, so any accumulation order gives the
+     * same bits, and zero weights and padding taps add 0: an entry may
+     * skip them or not (DESIGN.md §14).
+     */
+    bool (*convolveI32)(const std::int32_t *in, const std::int16_t *weights,
+                        std::int32_t *out, const ConvGeometry &g) = nullptr;
 };
 
 /** The reference table (PR 3 scalar kernels); always available. */
@@ -179,10 +210,13 @@ const KernelTable &sse4Table();
 const KernelTable &avx2Table();
 const KernelTable &neonTable();
 
-// The portable convolveF32 entry of the scalar table, shared by the
-// tables that do not vectorize it.
+// The portable convolution entries of the scalar table, shared by the
+// tables that do not vectorize them.
 void portableConvolveF32(const float *in, const float *weights,
-                         float *out, const ConvF32Geometry &g);
+                         float *out, const ConvGeometry &g);
+bool portableConvolveI32(const std::int32_t *in,
+                         const std::int16_t *weights, std::int32_t *out,
+                         const ConvGeometry &g);
 
 } // namespace detail
 

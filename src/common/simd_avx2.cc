@@ -192,6 +192,9 @@ avx2BitsPlane32(const std::int32_t *src, std::uint8_t *dst,
 struct F32x8
 {
     using V = __m256;
+    using In = float;
+    using Wt = float;
+    using Out = float;
     static constexpr int kLanes = 8;
 
     static V zero() { return _mm256_setzero_ps(); }
@@ -203,9 +206,55 @@ struct F32x8
         return _mm256_setr_ps(p[0], p[s], p[2 * s], p[3 * s], p[4 * s],
                               p[5 * s], p[6 * s], p[7 * s]);
     }
-    static void store(float *p, V v) { _mm256_storeu_ps(p, v); }
     static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
     static V add(V a, V b) { return _mm256_add_ps(a, b); }
+    static bool
+    store(float *p, V v)
+    {
+        _mm256_storeu_ps(p, v);
+        return true;
+    }
+};
+
+/**
+ * Four int64 lanes for the fixed-point tiles (x86::I64x2, twice as
+ * wide). The weight broadcast loads the int16 into every word and
+ * shifts each dword right by 16, which leaves the sign-extended
+ * weight in every dword: one load-broadcast and one shift, no trip
+ * through a general register.
+ */
+struct I64x4
+{
+    using V = __m256i;
+    using In = std::int32_t;
+    using Wt = std::int16_t;
+    using Out = std::int32_t;
+    static constexpr int kLanes = 4;
+
+    static V zero() { return _mm256_setzero_si256(); }
+    static V
+    broadcast(const std::int16_t *p)
+    {
+        return _mm256_srai_epi32(_mm256_set1_epi16(*p), 16);
+    }
+    static V
+    load(const std::int32_t *p)
+    {
+        return _mm256_cvtepi32_epi64(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+    }
+    static V
+    loadStrided(const std::int32_t *p, std::size_t s)
+    {
+        return _mm256_setr_epi64x(p[0], p[s], p[2 * s], p[3 * s]);
+    }
+    static V mul(V a, V b) { return _mm256_mul_epi32(a, b); }
+    static V add(V a, V b) { return _mm256_add_epi64(a, b); }
+    static bool
+    store(std::int32_t *p, V v)
+    {
+        return x86::storeNarrowedI64<kLanes>(p, v);
+    }
 };
 
 } // namespace
@@ -221,7 +270,7 @@ avx2Table()
         &avx2BitsPlane16,   &avx2BitsPlane32,  &x86::groupBits16,
         &x86::groupBits32,  &x86::deltaBits16, &x86::addSat16,
         &x86::walkSumMax,   &x86::hashStripes,
-        &x86::convolveF32<F32x8>,
+        &x86::convolveF32<F32x8>, &x86::convolve<I64x4>,
     };
     return t;
 }

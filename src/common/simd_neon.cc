@@ -345,7 +345,7 @@ neonTable()
         &neonBitsPlane16, &neonBitsPlane32,  &neonGroupBits16,
         &neonGroupBits32, &neonDeltaBits16,  &neonAddSat16,
         &neonWalkSumMax,  &neonHashStripes,
-        &portableConvolveF32,
+        &portableConvolveF32, &portableConvolveI32,
     };
     return t;
 }

@@ -429,10 +429,20 @@ hashStripes(const unsigned char *p, std::size_t stripes,
     _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + 4), a1);
 }
 
-/** 128-bit float lanes for the convolution tiles (convolveF32). */
+/*
+ * Lane types of the whole-layer convolution tiles. Each names its
+ * input, weight and output element types and the vector operations
+ * the tile needs; store() returns false when a lane does not fit the
+ * output type.
+ */
+
+/** 128-bit float lanes (convolveF32). */
 struct F32x4
 {
     using V = __m128;
+    using In = float;
+    using Wt = float;
+    using Out = float;
     static constexpr int kLanes = 4;
 
     static V zero() { return _mm_setzero_ps(); }
@@ -443,9 +453,69 @@ struct F32x4
     {
         return _mm_setr_ps(p[0], p[s], p[2 * s], p[3 * s]);
     }
-    static void store(float *p, V v) { _mm_storeu_ps(p, v); }
     static V mul(V a, V b) { return _mm_mul_ps(a, b); }
     static V add(V a, V b) { return _mm_add_ps(a, b); }
+    static bool
+    store(float *p, V v)
+    {
+        _mm_storeu_ps(p, v);
+        return true;
+    }
+};
+
+/**
+ * Narrow the int64 lanes of @p v to int32 at @p p; false when a lane
+ * lies outside int32. Runs once per output, after its whole
+ * reduction, so scalar code costs nothing measurable here.
+ */
+template <int N, class V>
+inline bool
+storeNarrowedI64(std::int32_t *p, V v)
+{
+    alignas(32) std::int64_t lanes[N];
+    std::memcpy(lanes, &v, sizeof lanes);
+    bool ok = true;
+    for (int j = 0; j < N; ++j) {
+        p[j] = static_cast<std::int32_t>(lanes[j]);
+        ok = ok && p[j] == lanes[j];
+    }
+    return ok;
+}
+
+/**
+ * Two int64 lanes (convolveI32). _mm_mul_epi32 multiplies the signed
+ * low dwords of each qword into an exact 64-bit product, so the input
+ * is sign-extended into qwords and the weight broadcast to every
+ * dword.
+ */
+struct I64x2
+{
+    using V = __m128i;
+    using In = std::int32_t;
+    using Wt = std::int16_t;
+    using Out = std::int32_t;
+    static constexpr int kLanes = 2;
+
+    static V zero() { return _mm_setzero_si128(); }
+    static V broadcast(const std::int16_t *p) { return _mm_set1_epi32(*p); }
+    static V
+    load(const std::int32_t *p)
+    {
+        return _mm_cvtepi32_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
+    }
+    static V
+    loadStrided(const std::int32_t *p, std::size_t s)
+    {
+        return _mm_set_epi64x(p[s], p[0]);
+    }
+    static V mul(V a, V b) { return _mm_mul_epi32(a, b); }
+    static V add(V a, V b) { return _mm_add_epi64(a, b); }
+    static bool
+    store(std::int32_t *p, V v)
+    {
+        return storeNarrowedI64<kLanes>(p, v);
+    }
 };
 
 /** How a convolution tile reads its input columns. */
@@ -458,14 +528,14 @@ enum class ConvCols
 
 /**
  * Exact-width tail load: lanes [0, n) take p[j * s], the rest are
- * zero. Only the n addressed floats are read (the SNIPPETS.md
+ * zero. Only the n addressed inputs are read (the SNIPPETS.md
  * loadPartial idiom, through a stack lane buffer).
  */
 template <class Ops>
 inline typename Ops::V
-loadPartial(const float *p, std::size_t s, int n)
+loadPartial(const typename Ops::In *p, std::size_t s, int n)
 {
-    alignas(32) float lanes[Ops::kLanes] = {};
+    alignas(32) typename Ops::In lanes[Ops::kLanes] = {};
     for (int j = 0; j < n; ++j)
         lanes[j] = p[j * s];
     return Ops::load(lanes);
@@ -473,12 +543,14 @@ loadPartial(const float *p, std::size_t s, int n)
 
 /** Exact-width tail store of lanes [0, n) of @p v. */
 template <class Ops>
-inline void
-storePartial(float *p, typename Ops::V v, int n)
+inline bool
+storePartial(typename Ops::Out *p, typename Ops::V v, int n)
 {
-    alignas(32) float lanes[Ops::kLanes] = {};
-    Ops::store(lanes, v);
-    std::memcpy(p, lanes, static_cast<std::size_t>(n) * sizeof(float));
+    alignas(32) typename Ops::Out lanes[Ops::kLanes] = {};
+    const bool ok = Ops::store(lanes, v);
+    std::memcpy(p, lanes,
+                static_cast<std::size_t>(n) * sizeof(typename Ops::Out));
+    return ok;
 }
 
 /**
@@ -490,12 +562,13 @@ storePartial(float *p, typename Ops::V v, int n)
  * dead only when all NF of its weights are, and testing for that on
  * every tap made fig 20 (up to 90% pruned) slower overall (DESIGN.md
  * §14). A Partial tile has NV == 1 and covers only @p ncols
- * (< kLanes) columns.
+ * (< kLanes) columns. Returns false when a stored lane did not fit.
  */
 template <class Ops, int NF, int NV, ConvCols Cols>
-inline void
-convTile(const float *in, const float *w, float *out,
-         const ConvF32Geometry &g, int oy, int f0, int x0, int ncols)
+inline bool
+convTile(const typename Ops::In *in, const typename Ops::Wt *w,
+         typename Ops::Out *out, const ConvGeometry &g, int oy, int f0,
+         int x0, int ncols)
 {
     using V = typename Ops::V;
     constexpr int kL = Ops::kLanes;
@@ -506,10 +579,11 @@ convTile(const float *in, const float *w, float *out,
         static_cast<std::size_t>(g.dilation) * g.paddedW;
     const std::size_t filterTaps =
         static_cast<std::size_t>(g.channels) * g.kernel * g.kernel;
-    const float *window = in +
-                          static_cast<std::size_t>(oy) * s * g.paddedW +
-                          static_cast<std::size_t>(x0) * s;
-    const float *wt = w + static_cast<std::size_t>(f0) * filterTaps;
+    const typename Ops::In *window =
+        in + static_cast<std::size_t>(oy) * s * g.paddedW +
+        static_cast<std::size_t>(x0) * s;
+    const typename Ops::Wt *wt =
+        w + static_cast<std::size_t>(f0) * filterTaps;
 
     V acc[NF][NV];
     for (int i = 0; i < NF; ++i)
@@ -524,10 +598,10 @@ convTile(const float *in, const float *w, float *out,
         for (int i = 0; i < NF; ++i)
             for (int v = 0; v < NV; ++v)
                 a[i][v] = acc[i][v];
-        const float *row = window;
+        const typename Ops::In *row = window;
         for (int ky = 0; ky < g.kernel; ++ky, row += rowStep) {
             for (int kx = 0; kx < g.kernel; ++kx, ++wt) {
-                const float *p =
+                const typename Ops::In *p =
                     row + static_cast<std::size_t>(kx) * g.dilation;
                 V x[NV];
                 for (int v = 0; v < NV; ++v) {
@@ -550,18 +624,20 @@ convTile(const float *in, const float *w, float *out,
                 acc[i][v] = a[i][v];
     }
 
+    bool ok = true;
     for (int i = 0; i < NF; ++i) {
-        float *o = out +
-                   (static_cast<std::size_t>(f0 + i) * g.outH + oy) *
-                       g.outW +
-                   x0;
+        typename Ops::Out *o =
+            out + (static_cast<std::size_t>(f0 + i) * g.outH + oy) *
+                      g.outW +
+            x0;
         for (int v = 0; v < NV; ++v) {
             if constexpr (Cols == ConvCols::Partial)
-                storePartial<Ops>(o, acc[i][v], ncols);
+                ok = storePartial<Ops>(o, acc[i][v], ncols) && ok;
             else
-                Ops::store(o + v * kL, acc[i][v]);
+                ok = Ops::store(o + v * kL, acc[i][v]) && ok;
         }
     }
+    return ok;
 }
 
 /**
@@ -569,63 +645,80 @@ convTile(const float *in, const float *w, float *out,
  * 2 * kLanes columns, then one of kLanes, then an exact-width tail.
  */
 template <class Ops, int NF, ConvCols Cols>
-inline void
-convRow(const float *in, const float *w, float *out,
-        const ConvF32Geometry &g, int oy, int f0)
+inline bool
+convRow(const typename Ops::In *in, const typename Ops::Wt *w,
+        typename Ops::Out *out, const ConvGeometry &g, int oy, int f0)
 {
     constexpr int kL = Ops::kLanes;
+    bool ok = true;
     int x0 = 0;
     for (; x0 + 2 * kL <= g.outW; x0 += 2 * kL)
-        convTile<Ops, NF, 2, Cols>(in, w, out, g, oy, f0, x0, 0);
+        ok = convTile<Ops, NF, 2, Cols>(in, w, out, g, oy, f0, x0, 0) &&
+             ok;
     if (x0 + kL <= g.outW) {
-        convTile<Ops, NF, 1, Cols>(in, w, out, g, oy, f0, x0, 0);
+        ok = convTile<Ops, NF, 1, Cols>(in, w, out, g, oy, f0, x0, 0) &&
+             ok;
         x0 += kL;
     }
     if (x0 < g.outW)
-        convTile<Ops, NF, 1, ConvCols::Partial>(in, w, out, g, oy, f0,
-                                                x0, g.outW - x0);
+        ok = convTile<Ops, NF, 1, ConvCols::Partial>(in, w, out, g, oy,
+                                                     f0, x0,
+                                                     g.outW - x0) &&
+             ok;
+    return ok;
 }
 
 /**
- * KernelTable::convolveF32 over the lanes of @p Ops: output rows
+ * A whole-layer convolution over the lanes of @p Ops: output rows
  * outermost (the k input rows they read stay cache-resident across
  * filter blocks), then blocks of 4 filters (the remainder as one
  * narrower block), then column tiles.
  */
 template <class Ops, ConvCols Cols>
-inline void
-convRows(const float *in, const float *w, float *out,
-         const ConvF32Geometry &g)
+inline bool
+convRows(const typename Ops::In *in, const typename Ops::Wt *w,
+         typename Ops::Out *out, const ConvGeometry &g)
 {
+    bool ok = true;
     for (int oy = 0; oy < g.outH; ++oy) {
         int f0 = 0;
         for (; f0 + 4 <= g.filters; f0 += 4)
-            convRow<Ops, 4, Cols>(in, w, out, g, oy, f0);
+            ok = convRow<Ops, 4, Cols>(in, w, out, g, oy, f0) && ok;
         switch (g.filters - f0) {
           case 3:
-            convRow<Ops, 3, Cols>(in, w, out, g, oy, f0);
+            ok = convRow<Ops, 3, Cols>(in, w, out, g, oy, f0) && ok;
             break;
           case 2:
-            convRow<Ops, 2, Cols>(in, w, out, g, oy, f0);
+            ok = convRow<Ops, 2, Cols>(in, w, out, g, oy, f0) && ok;
             break;
           case 1:
-            convRow<Ops, 1, Cols>(in, w, out, g, oy, f0);
+            ok = convRow<Ops, 1, Cols>(in, w, out, g, oy, f0) && ok;
             break;
           default:
             break;
         }
     }
+    return ok;
 }
 
+/** KernelTable::convolveI32 (and, through convolveF32, the float one). */
+template <class Ops>
+inline bool
+convolve(const typename Ops::In *in, const typename Ops::Wt *weights,
+         typename Ops::Out *out, const ConvGeometry &g)
+{
+    if (g.stride == 1)
+        return convRows<Ops, ConvCols::Contiguous>(in, weights, out, g);
+    return convRows<Ops, ConvCols::Strided>(in, weights, out, g);
+}
+
+/** KernelTable::convolveF32: float lanes never fail to store. */
 template <class Ops>
 inline void
 convolveF32(const float *in, const float *weights, float *out,
-            const ConvF32Geometry &g)
+            const ConvGeometry &g)
 {
-    if (g.stride == 1)
-        convRows<Ops, ConvCols::Contiguous>(in, weights, out, g);
-    else
-        convRows<Ops, ConvCols::Strided>(in, weights, out, g);
+    convolve<Ops>(in, weights, out, g);
 }
 
 } // namespace

@@ -1,24 +1,33 @@
 #include "core/differential_conv.hh"
 
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitops.hh"
+#include "common/fixed_point.hh"
+#include "common/simd.hh"
 
 namespace diffy
 {
 
+simd::ConvGeometry
+fixedConvGeometry(const Shape3 &in, const FilterBankI16 &bank, int stride,
+                  int dilation, const char *who)
+{
+    if (bank.channels() != in.c)
+        throw std::invalid_argument(std::string(who) +
+                                    ": channel mismatch");
+    if (bank.height() != bank.width())
+        throw std::invalid_argument(std::string(who) +
+                                    ": non-square kernel");
+    return simd::sameConvGeometry(in.c, bank.filters(), in.h, in.w,
+                                  bank.height(), stride, dilation);
+}
+
 namespace
 {
 
-void
-checkShapes(const TensorI16 &imap, const FilterBankI16 &bank)
-{
-    if (bank.channels() != imap.channels())
-        throw std::invalid_argument("conv: channel mismatch");
-    if (bank.height() != bank.width())
-        throw std::invalid_argument("conv: non-square kernel");
-}
+constexpr const char *kOverflow = "conv: accumulator overflow";
 
 /** Inner product of one window against one filter, 64-bit exact. */
 std::int64_t
@@ -79,38 +88,26 @@ deltaWindowDot(const TensorI16 &imap, const FilterBankI16 &bank, int f,
     return acc;
 }
 
-std::int32_t
-clampToI32(std::int64_t v)
-{
-    // Accumulators fit comfortably for 16b data and the kernel sizes
-    // studied; keep a hard check rather than silent wraparound.
-    if (v > std::numeric_limits<std::int32_t>::max() ||
-        v < std::numeric_limits<std::int32_t>::min()) {
-        throw std::overflow_error("conv: accumulator overflow");
-    }
-    return static_cast<std::int32_t>(v);
-}
-
 } // namespace
 
 TensorI32
 convolveDirect(const TensorI16 &imap, const FilterBankI16 &bank,
                int stride, int dilation)
 {
-    checkShapes(imap, bank);
-    const int k = bank.height();
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (imap.height() + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (imap.width() + 2 * pad - eff_k) / stride + 1;
+    const simd::ConvGeometry g =
+        fixedConvGeometry(imap.shape(), bank, stride, dilation, "conv");
+    const int pad = g.pad;
+    const int out_h = g.outH;
+    const int out_w = g.outW;
 
-    TensorI32 out(bank.filters(), out_h, out_w,
-                  scratchAlloc<std::int32_t>());
+    TensorI32 out(g.filters, out_h, out_w, scratchAlloc<std::int32_t>());
     for (int f = 0; f < bank.filters(); ++f) {
         for (int oy = 0; oy < out_h; ++oy) {
             for (int ox = 0; ox < out_w; ++ox) {
-                out.at(f, oy, ox) = clampToI32(windowDot(
-                    imap, bank, f, oy, ox, stride, dilation, pad));
+                out.at(f, oy, ox) = clampToI32(
+                    windowDot(imap, bank, f, oy, ox, stride, dilation,
+                              pad),
+                    kOverflow);
             }
         }
     }
@@ -121,28 +118,26 @@ TensorI32
 convolveDifferential(const TensorI16 &imap, const FilterBankI16 &bank,
                      int stride, int dilation)
 {
-    checkShapes(imap, bank);
-    const int k = bank.height();
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (imap.height() + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (imap.width() + 2 * pad - eff_k) / stride + 1;
+    const simd::ConvGeometry g =
+        fixedConvGeometry(imap.shape(), bank, stride, dilation, "conv");
+    const int pad = g.pad;
+    const int out_h = g.outH;
+    const int out_w = g.outW;
 
-    TensorI32 out(bank.filters(), out_h, out_w,
-                  scratchAlloc<std::int32_t>());
+    TensorI32 out(g.filters, out_h, out_w, scratchAlloc<std::int32_t>());
     for (int f = 0; f < bank.filters(); ++f) {
         for (int oy = 0; oy < out_h; ++oy) {
             // Phase 1: leftmost output directly, the rest as
             // differential terms <W, delta window>.
             std::int64_t base = windowDot(imap, bank, f, oy, 0, stride,
                                           dilation, pad);
-            out.at(f, oy, 0) = clampToI32(base);
+            out.at(f, oy, 0) = clampToI32(base, kOverflow);
             for (int ox = 1; ox < out_w; ++ox) {
                 std::int64_t diff = deltaWindowDot(
                     imap, bank, f, oy, ox, stride, dilation, pad);
                 // Phase 2 (cascaded reconstruction), fused here.
                 base += diff;
-                out.at(f, oy, ox) = clampToI32(base);
+                out.at(f, oy, ox) = clampToI32(base, kOverflow);
             }
         }
     }
@@ -193,24 +188,22 @@ TensorI32
 convolveDifferentialY(const TensorI16 &imap, const FilterBankI16 &bank,
                       int stride, int dilation)
 {
-    checkShapes(imap, bank);
-    const int k = bank.height();
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (imap.height() + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (imap.width() + 2 * pad - eff_k) / stride + 1;
+    const simd::ConvGeometry g =
+        fixedConvGeometry(imap.shape(), bank, stride, dilation, "conv");
+    const int pad = g.pad;
+    const int out_h = g.outH;
+    const int out_w = g.outW;
 
-    TensorI32 out(bank.filters(), out_h, out_w,
-                  scratchAlloc<std::int32_t>());
+    TensorI32 out(g.filters, out_h, out_w, scratchAlloc<std::int32_t>());
     for (int f = 0; f < bank.filters(); ++f) {
         for (int ox = 0; ox < out_w; ++ox) {
             std::int64_t base = windowDot(imap, bank, f, 0, ox, stride,
                                           dilation, pad);
-            out.at(f, 0, ox) = clampToI32(base);
+            out.at(f, 0, ox) = clampToI32(base, kOverflow);
             for (int oy = 1; oy < out_h; ++oy) {
                 base += deltaWindowDotY(imap, bank, f, oy, ox, stride,
                                         dilation, pad);
-                out.at(f, oy, ox) = clampToI32(base);
+                out.at(f, oy, ox) = clampToI32(base, kOverflow);
             }
         }
     }
@@ -221,12 +214,12 @@ ConvWorkCount
 countDifferentialWorkY(const TensorI16 &imap, const FilterBankI16 &bank,
                        int stride, int dilation)
 {
-    checkShapes(imap, bank);
-    const int k = bank.height();
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (imap.height() + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (imap.width() + 2 * pad - eff_k) / stride + 1;
+    const simd::ConvGeometry g =
+        fixedConvGeometry(imap.shape(), bank, stride, dilation, "conv");
+    const int k = g.kernel;
+    const int pad = g.pad;
+    const int out_h = g.outH;
+    const int out_w = g.outW;
 
     ConvWorkCount wc;
     const std::uint64_t filters =
@@ -279,12 +272,12 @@ ConvWorkCount
 countWork(const TensorI16 &imap, const FilterBankI16 &bank, int stride,
           int dilation)
 {
-    checkShapes(imap, bank);
-    const int k = bank.height();
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (imap.height() + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (imap.width() + 2 * pad - eff_k) / stride + 1;
+    const simd::ConvGeometry g =
+        fixedConvGeometry(imap.shape(), bank, stride, dilation, "conv");
+    const int k = g.kernel;
+    const int pad = g.pad;
+    const int out_h = g.outH;
+    const int out_w = g.outW;
 
     ConvWorkCount wc;
     // Work is identical across filters; count one filter's stream and

@@ -19,10 +19,21 @@
 
 #include <cstdint>
 
+#include "common/simd.hh"
 #include "tensor/tensor.hh"
 
 namespace diffy
 {
+
+/**
+ * Same-padding geometry of a fixed-point convolution of a map of
+ * shape @p in by @p bank, after the shape checks every fixed-point
+ * path shares (channel count, square kernel). Errors carry @p who as
+ * their prefix.
+ */
+simd::ConvGeometry fixedConvGeometry(const Shape3 &in,
+                                     const FilterBankI16 &bank, int stride,
+                                     int dilation, const char *who);
 
 /**
  * Direct fixed-point convolution with same-padding.

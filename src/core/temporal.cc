@@ -1,10 +1,13 @@
 #include "core/temporal.hh"
 
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hh"
+#include "common/fixed_point.hh"
+#include "common/pool.hh"
 #include "core/differential_conv.hh"
 #include "encode/temporal.hh"
 
@@ -14,14 +17,39 @@ namespace diffy
 namespace
 {
 
-std::int32_t
-clampToI32(std::int64_t v)
+/**
+ * Fixed-point same-padded convolution through
+ * KernelTable::convolveI32: @p in is widened into a zero-padded int32
+ * copy, so the kernel runs without bounds checks, and the copy's
+ * arena space goes back to the frame when the kernel returns. The
+ * sums are exact in int64 in any order (simd.hh), so the result is
+ * bit-identical to convolveDirect() on the same values. Errors carry
+ * @p who as their prefix, the name the caller's path has always
+ * reported.
+ */
+template <class T>
+TensorI32
+convolveFixedPoint(const Tensor3<T> &in, const FilterBankI16 &bank,
+                   int stride, int dilation,
+                   const simd::KernelTable &kernels, const char *who)
 {
-    if (v > std::numeric_limits<std::int32_t>::max() ||
-        v < std::numeric_limits<std::int32_t>::min()) {
-        throw std::overflow_error("temporal conv: accumulator overflow");
+    const simd::ConvGeometry g =
+        fixedConvGeometry(in.shape(), bank, stride, dilation, who);
+
+    TensorI32 out(g.filters, g.outH, g.outW, scratchAlloc<std::int32_t>());
+    ScratchRewind transient;
+    TensorI32 padded(in.channels(), g.paddedH, g.paddedW,
+                     scratchAlloc<std::int32_t>());
+    for (int c = 0; c < in.channels(); ++c) {
+        for (int y = 0; y < in.height(); ++y) {
+            std::copy_n(&in.at(c, y, 0), in.width(),
+                        &padded.at(c, y + g.pad, g.pad));
+        }
     }
-    return static_cast<std::int32_t>(v);
+    if (!kernels.convolveI32(padded.data(), bank.data(), out.data(), g))
+        throw std::overflow_error(std::string(who) +
+                                  ": accumulator overflow");
+    return out;
 }
 
 /** Sum of per-value Booth term counts over an int16 plane. */
@@ -73,45 +101,19 @@ xDeltas32(const TensorI32 &t)
 
 TensorI32
 convolveTemporalDelta(const TensorI32 &delta, const FilterBankI16 &bank,
+                      int stride, int dilation,
+                      const simd::KernelTable &kernels)
+{
+    return convolveFixedPoint(delta, bank, stride, dilation, kernels,
+                              "temporal conv");
+}
+
+TensorI32
+convolveTemporalDelta(const TensorI32 &delta, const FilterBankI16 &bank,
                       int stride, int dilation)
 {
-    if (bank.channels() != delta.channels())
-        throw std::invalid_argument("temporal conv: channel mismatch");
-    if (bank.height() != bank.width())
-        throw std::invalid_argument("temporal conv: non-square kernel");
-    const int k = bank.height();
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (delta.height() + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (delta.width() + 2 * pad - eff_k) / stride + 1;
-
-    TensorI32 out(bank.filters(), out_h, out_w,
-                  scratchAlloc<std::int32_t>());
-    for (int f = 0; f < bank.filters(); ++f) {
-        for (int oy = 0; oy < out_h; ++oy) {
-            for (int ox = 0; ox < out_w; ++ox) {
-                std::int64_t acc = 0;
-                for (int c = 0; c < delta.channels(); ++c) {
-                    for (int ky = 0; ky < k; ++ky) {
-                        const int iy = oy * stride + ky * dilation - pad;
-                        if (iy < 0 || iy >= delta.height())
-                            continue;
-                        for (int kx = 0; kx < k; ++kx) {
-                            const int ix =
-                                ox * stride + kx * dilation - pad;
-                            if (ix < 0 || ix >= delta.width())
-                                continue;
-                            acc += static_cast<std::int64_t>(
-                                       delta.at(c, iy, ix)) *
-                                   bank.at(f, c, ky, kx);
-                        }
-                    }
-                }
-                out.at(f, oy, ox) = clampToI32(acc);
-            }
-        }
-    }
-    return out;
+    return convolveTemporalDelta(delta, bank, stride, dilation,
+                                 simd::kernels());
 }
 
 TensorI32
@@ -179,8 +181,9 @@ temporalStep(TemporalNetState &state, const NetworkTrace &trace,
 
         TensorI32 omap;
         if (anchor) {
-            omap = convolveDirect(lt.imap, lt.weights, lt.spec.stride,
-                                  lt.spec.dilation);
+            omap = convolveFixedPoint(lt.imap, lt.weights, lt.spec.stride,
+                                      lt.spec.dilation, simd::kernels(),
+                                      "conv");
             ++stats.anchored;
             stats.temporalTerms += rawTerms;
             stats.temporalSpatialTerms += spatialTerms;
@@ -199,23 +202,23 @@ temporalStep(TemporalNetState &state, const NetworkTrace &trace,
             std::int32_t *oo = omap.data();
             for (std::size_t i = 0; i < omap.size(); ++i)
                 oo[i] = clampToI32(static_cast<std::int64_t>(po[i]) +
-                                   dl[i]);
+                                       dl[i],
+                                   "temporal conv: accumulator overflow");
             stats.temporalTerms += boothTermSum(delta.data(), n);
             const TensorI32 both = xDeltas32(delta);
             stats.temporalSpatialTerms += boothTermSum(both.data(), n);
             stats.codecBits += codec.encodedBits(st.prevImap, lt.imap);
+        }
 
-            if (opts.verifyAgainstOracle) {
-                const TensorI32 oracle =
-                    convolveDirect(lt.imap, lt.weights, lt.spec.stride,
-                                   lt.spec.dilation);
-                if (!(omap == oracle)) {
-                    stats.exact = false;
-                    throw std::runtime_error(
-                        "temporalStep: layer " + lt.spec.name +
-                        " reconstruction diverged from the per-frame "
-                        "oracle at frame " + std::to_string(frameIndex));
-                }
+        if (opts.verifyAgainstOracle) {
+            const TensorI32 oracle = convolveDirect(
+                lt.imap, lt.weights, lt.spec.stride, lt.spec.dilation);
+            if (!(omap == oracle)) {
+                stats.exact = false;
+                throw std::runtime_error(
+                    "temporalStep: layer " + lt.spec.name +
+                    " reconstruction diverged from the per-frame "
+                    "oracle at frame " + std::to_string(frameIndex));
             }
         }
 

@@ -13,9 +13,10 @@
  * both frames share the same geometry and fixed-point format. This
  * module implements that relation over the nn-layer traces: per-layer
  * state holds the previous frame's imap and omap, a step either
- * re-anchors (full convolution, the per-frame reference path) or
- * applies the temporal-delta path, and the reconstruction can be
- * checked bit-exactly against the per-frame oracle.
+ * re-anchors (full convolution of the frame) or applies the
+ * temporal-delta path, and the reconstruction can be checked
+ * bit-exactly against the per-frame oracle, convolveDirect(). Both
+ * paths run the dispatched KernelTable::convolveI32.
  *
  * Re-anchor policy (mirroring the DeltaD codec's K knob): a layer
  * anchors when it has no state yet, when its geometry or fixed-point
@@ -37,6 +38,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/simd.hh"
 #include "nn/trace.hh"
 #include "tensor/tensor.hh"
 
@@ -46,10 +48,18 @@ namespace diffy
 /**
  * Fixed-point convolution of an int32 delta map — the temporal
  * counterpart of convolveDirect(). Deltas of int16 activations need
- * 17 bits, hence the widened input type; geometry (same-padding,
- * stride, dilation) and 64-bit accumulation mirror convolveDirect()
- * exactly so o_{t-1} + conv(Δ) is bit-identical to conv(a_t).
+ * 17 bits, hence the widened input type. The same-padding geometry
+ * and the exact 64-bit sums of convolveDirect() make o_{t-1} +
+ * conv(Δ) bit-identical to conv(a_t). Runs @p kernels' convolveI32
+ * over a zero-padded copy of @p delta (the dispatched table when
+ * omitted).
+ *
+ * @throws std::overflow_error when an output does not fit int32.
  */
+TensorI32 convolveTemporalDelta(const TensorI32 &delta,
+                                const FilterBankI16 &bank, int stride,
+                                int dilation,
+                                const simd::KernelTable &kernels);
 TensorI32 convolveTemporalDelta(const TensorI32 &delta,
                                 const FilterBankI16 &bank, int stride,
                                 int dilation);

@@ -24,16 +24,13 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
     const int in_c = input.channels();
     const int in_h = input.height();
     const int in_w = input.width();
-    const int k = weights.height();
     if (weights.channels() != in_c)
         throw std::invalid_argument("convolve: channel mismatch");
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (in_h + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (in_w + 2 * pad - eff_k) / stride + 1;
+    const simd::ConvGeometry g =
+        simd::sameConvGeometry(in_c, weights.filters(), in_h, in_w,
+                               weights.height(), stride, dilation);
 
-    Tensor3<float> out(weights.filters(), out_h, out_w,
-                       scratchAlloc<float>());
+    Tensor3<float> out(g.filters, g.outH, g.outW, scratchAlloc<float>());
     // One zero-padded copy of the input, large enough for every tap
     // of every output window, so the kernel runs without bounds
     // checks. Padding taps add w * 0 == +-0, which leaves every
@@ -41,16 +38,6 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
     // (KernelTable::convolveF32). The copy is dead once the kernel
     // returns, so its arena space goes back to the frame.
     ScratchRewind transient;
-    simd::ConvF32Geometry g;
-    g.channels = in_c;
-    g.filters = weights.filters();
-    g.kernel = k;
-    g.stride = stride;
-    g.dilation = dilation;
-    g.paddedH = std::max(in_h + 2 * pad, (out_h - 1) * stride + eff_k);
-    g.paddedW = std::max(in_w + 2 * pad, (out_w - 1) * stride + eff_k);
-    g.outH = out_h;
-    g.outW = out_w;
     Tensor3<float> padded(in_c, g.paddedH, g.paddedW,
                           scratchAlloc<float>());
     for (int c = 0; c < in_c; ++c) {
@@ -58,9 +45,9 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
             const std::size_t src =
                 (static_cast<std::size_t>(c) * in_h + y) * in_w;
             const std::size_t dst =
-                (static_cast<std::size_t>(c) * g.paddedH + y + pad) *
+                (static_cast<std::size_t>(c) * g.paddedH + y + g.pad) *
                     g.paddedW +
-                pad;
+                g.pad;
             std::copy_n(input.data() + src, in_w, padded.data() + dst);
         }
     }

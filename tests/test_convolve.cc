@@ -1,23 +1,29 @@
 /**
  * @file
- * Oracle tests for the float convolution kernel
- * (KernelTable::convolveF32 behind convolve()). The oracle is the
- * executor's original bounds-checked loop; every compiled-in kernel
- * table must reproduce it bit for bit (memcmp, not a tolerance) over
- * strides, dilations, kernel sizes, filter counts and output widths
- * that hit every tile and tail path, including padding wider than the
- * input. Under ASan the same cases probe the exact-width tail loads.
+ * Oracle tests for the whole-layer convolution kernels: the float
+ * KernelTable::convolveF32 behind convolve(), and the fixed-point
+ * KernelTable::convolveI32 behind convolveTemporalDelta() and the
+ * temporal anchor path. Each oracle is the original bounds-checked
+ * loop the kernel replaced; every compiled-in kernel table must
+ * reproduce it bit for bit (memcmp, not a tolerance) over strides,
+ * dilations, kernel sizes, filter counts and output widths that hit
+ * every tile and tail path, including padding wider than the input.
+ * Under ASan the same cases probe the exact-width tail loads.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "core/differential_conv.hh"
+#include "core/temporal.hh"
 #include "nn/executor.hh"
 
 namespace diffy
@@ -141,16 +147,17 @@ randomOperands(const ConvCase &cc, std::uint64_t seed, Tensor3<float> &in,
     }
 }
 
+template <class T>
 ::testing::AssertionResult
-bitIdentical(const Tensor3<float> &got, const Tensor3<float> &want)
+bitIdentical(const Tensor3<T> &got, const Tensor3<T> &want)
 {
     if (!(got.shape() == want.shape()))
         return ::testing::AssertionFailure() << "shape differs";
-    if (std::memcmp(got.data(), want.data(),
-                    got.size() * sizeof(float)) != 0) {
+    if (std::memcmp(got.data(), want.data(), got.size() * sizeof(T)) !=
+        0) {
         std::size_t i = 0;
-        while (std::memcmp(got.data() + i, want.data() + i,
-                           sizeof(float)) == 0)
+        while (std::memcmp(got.data() + i, want.data() + i, sizeof(T)) ==
+               0)
             ++i;
         return ::testing::AssertionFailure()
                << "first difference at element " << i << ": "
@@ -275,6 +282,242 @@ TEST_P(ConvolveKernelOracle, PaddingWiderThanRowReadsOnlyTheRow)
 
 INSTANTIATE_TEST_SUITE_P(
     AvailableIsas, ConvolveKernelOracle,
+    ::testing::ValuesIn(simd::availableIsas()),
+    [](const ::testing::TestParamInfo<simd::Isa> &isa_info) {
+        return std::string(simd::isaName(isa_info.param));
+    });
+
+/**
+ * convolveTemporalDelta before KernelTable::convolveI32: a
+ * bounds-checked 7-deep loop that skips padding taps, sums each
+ * output in int64 and throws std::overflow_error when the sum leaves
+ * int32.
+ */
+TensorI32
+referenceConvolveI32(const TensorI32 &delta, const FilterBankI16 &bank,
+                     int stride, int dilation)
+{
+    const int k = bank.height();
+    const int eff_k = dilation * (k - 1) + 1;
+    const int pad = (eff_k - 1) / 2;
+    const int out_h = (delta.height() + 2 * pad - eff_k) / stride + 1;
+    const int out_w = (delta.width() + 2 * pad - eff_k) / stride + 1;
+
+    TensorI32 out(bank.filters(), out_h, out_w);
+    for (int f = 0; f < bank.filters(); ++f) {
+        for (int oy = 0; oy < out_h; ++oy) {
+            for (int ox = 0; ox < out_w; ++ox) {
+                std::int64_t acc = 0;
+                for (int c = 0; c < delta.channels(); ++c) {
+                    for (int ky = 0; ky < k; ++ky) {
+                        const int iy = oy * stride + ky * dilation - pad;
+                        if (iy < 0 || iy >= delta.height())
+                            continue;
+                        for (int kx = 0; kx < k; ++kx) {
+                            const int ix =
+                                ox * stride + kx * dilation - pad;
+                            if (ix < 0 || ix >= delta.width())
+                                continue;
+                            acc += static_cast<std::int64_t>(
+                                       delta.at(c, iy, ix)) *
+                                   bank.at(f, c, ky, kx);
+                        }
+                    }
+                }
+                if (acc > std::numeric_limits<std::int32_t>::max() ||
+                    acc < std::numeric_limits<std::int32_t>::min())
+                    throw std::overflow_error("reference overflow");
+                out.at(f, oy, ox) = static_cast<std::int32_t>(acc);
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * Random fixed-point operands for @p cc. Every third seed is maximal:
+ * deltas of +-65535 and weights of -32768 or 32767, most of whose
+ * sums leave int32 (both sides must then throw). The others draw
+ * 17-bit deltas at about the pan workload's density (0.45 nonzero)
+ * and 13-bit weights with a third of them zero.
+ */
+void
+randomFixedOperands(const ConvCase &cc, std::uint64_t seed,
+                    TensorI32 &delta, FilterBankI16 &bank)
+{
+    Rng rng(seed);
+    const bool maximal = seed % 3 == 0;
+    delta = TensorI32(cc.c, cc.h, cc.w);
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+        std::int64_t v = 0;
+        if (maximal)
+            v = rng.below(2) != 0 ? 65535 : -65535;
+        else if (rng.below(100) < 45)
+            v = static_cast<std::int64_t>(rng.below(131071)) - 65535;
+        delta.data()[i] = static_cast<std::int32_t>(v);
+    }
+    bank = FilterBankI16(cc.f, cc.c, cc.k, cc.k);
+    for (std::size_t i = 0; i < bank.size(); ++i) {
+        std::int64_t v = 0;
+        if (maximal)
+            v = rng.below(2) != 0 ? 32767 : -32768;
+        else if (rng.below(3) != 0)
+            v = static_cast<std::int64_t>(rng.below(8191)) - 4095;
+        bank.data()[i] = static_cast<std::int16_t>(v);
+    }
+}
+
+/** The delta map narrowed to int16 (values must fit). */
+TensorI16
+narrowed(const TensorI32 &t)
+{
+    TensorI16 out(t.shape());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        out.data()[i] = static_cast<std::int16_t>(t.data()[i]);
+    return out;
+}
+
+class ConvolveI32Oracle : public ::testing::TestWithParam<simd::Isa>
+{
+  protected:
+    const simd::KernelTable &table() { return *simd::table(GetParam()); }
+};
+
+TEST_P(ConvolveI32Oracle, MatchesReferenceBitForBit)
+{
+    std::uint64_t seed = 1;
+    int overflows = 0;
+    int compared = 0;
+    for (const ConvCase &cc : fuzzCases()) {
+        for (int rep = 0; rep < 3; ++rep, ++seed) {
+            TensorI32 delta;
+            FilterBankI16 bank;
+            randomFixedOperands(cc, seed, delta, bank);
+            TensorI32 want;
+            try {
+                want = referenceConvolveI32(delta, bank, cc.stride,
+                                            cc.dilation);
+            } catch (const std::overflow_error &) {
+                ++overflows;
+                EXPECT_THROW(convolveTemporalDelta(delta, bank, cc.stride,
+                                                   cc.dilation, table()),
+                             std::overflow_error)
+                    << cc.describe() << " seed=" << seed;
+                continue;
+            }
+            ++compared;
+            const TensorI32 got = convolveTemporalDelta(
+                delta, bank, cc.stride, cc.dilation, table());
+            ASSERT_TRUE(bitIdentical(got, want))
+                << cc.describe() << " seed=" << seed;
+        }
+    }
+    // Both regimes must really have been exercised.
+    EXPECT_GT(overflows, 50);
+    EXPECT_GT(compared, 300);
+}
+
+TEST_P(ConvolveI32Oracle, MatchesConvolveDirectOnInt16Maps)
+{
+    // The anchor path's contract: on int16 values the kernel gives the
+    // bits of convolveDirect, the per-frame oracle.
+    std::uint64_t seed = 1000;
+    for (const ConvCase &cc : fuzzCases()) {
+        TensorI32 delta;
+        FilterBankI16 bank;
+        randomFixedOperands(cc, ++seed, delta, bank);
+        for (std::size_t i = 0; i < delta.size(); ++i)
+            delta.data()[i] /= 2; // into the int16 range
+        const TensorI16 imap = narrowed(delta);
+        TensorI32 want;
+        try {
+            want = convolveDirect(imap, bank, cc.stride, cc.dilation);
+        } catch (const std::overflow_error &) {
+            EXPECT_THROW(convolveTemporalDelta(delta, bank, cc.stride,
+                                               cc.dilation, table()),
+                         std::overflow_error)
+                << cc.describe() << " seed=" << seed;
+            continue;
+        }
+        ASSERT_TRUE(bitIdentical(convolveTemporalDelta(delta, bank,
+                                                       cc.stride,
+                                                       cc.dilation,
+                                                       table()),
+                                 want))
+            << cc.describe() << " seed=" << seed;
+    }
+}
+
+TEST_P(ConvolveI32Oracle, MaximalProductsStayExact)
+{
+    // One tap per output: +-65535 * {-32768, 32767} reaches
+    // -2147450880, inside int32, and must come out exact.
+    TensorI32 delta(1, 3, 21);
+    for (std::size_t i = 0; i < delta.size(); ++i)
+        delta.data()[i] = (i % 3 == 0) ? -65535 : 65535;
+    for (std::int16_t w : {std::int16_t{-32768}, std::int16_t{32767}}) {
+        FilterBankI16 bank(3, 1, 1, 1, w);
+        const TensorI32 want = referenceConvolveI32(delta, bank, 1, 1);
+        EXPECT_EQ(want.at(0, 0, 0), -65535 * static_cast<int>(w));
+        EXPECT_TRUE(bitIdentical(
+            convolveTemporalDelta(delta, bank, 1, 1, table()), want));
+    }
+    // Partial sums that leave int32 before the total comes back in:
+    // three channels of 65535 against 32767, 32767, -32768 sum to
+    // 65535 * 32766 in (c, ky, kx) order, past INT32_MAX after two.
+    TensorI32 deep(3, 1, 1, 65535);
+    FilterBankI16 bank(1, 3, 1, 1, 32767);
+    bank.at(0, 2, 0, 0) = -32768;
+    const TensorI32 want = referenceConvolveI32(deep, bank, 1, 1);
+    EXPECT_EQ(want.at(0, 0, 0), 65535 * 32766);
+    EXPECT_TRUE(bitIdentical(
+        convolveTemporalDelta(deep, bank, 1, 1, table()), want));
+}
+
+TEST_P(ConvolveI32Oracle, PlantedOverflowThrowsWithTheCallersMessage)
+{
+    // Two 65535 deltas at (c, 2, x), c = 0, 1, meet the only nonzero
+    // weights of filter 4, 32767 at each channel's kernel centre: that
+    // one output sums to 2 * 65535 * 32767 and leaves int32, nothing
+    // else does. It sits in a full tile, in the exact-width tail
+    // column of every table (w = 39), or on a strided layer, and must
+    // throw on every table with convolveTemporalDelta's message.
+    struct Plant
+    {
+        int w;
+        int x;
+        int stride;
+    };
+    for (const Plant p : {Plant{37, 9, 1}, Plant{39, 38, 1},
+                          Plant{29, 14, 2}}) {
+        TensorI32 delta(2, 5, p.w, 1);
+        delta.at(0, 2, p.x) = 65535;
+        delta.at(1, 2, p.x) = 65535;
+        FilterBankI16 bank(5, 2, 3, 3, 1);
+        for (int c = 0; c < 2; ++c)
+            for (int ky = 0; ky < 3; ++ky)
+                for (int kx = 0; kx < 3; ++kx)
+                    bank.at(4, c, ky, kx) = 0;
+        bank.at(4, 0, 1, 1) = 32767;
+        bank.at(4, 1, 1, 1) = 32767;
+        EXPECT_THROW(referenceConvolveI32(delta, bank, p.stride, 1),
+                     std::overflow_error);
+        bank.at(4, 1, 1, 1) = 0; // one tap fits: no throw anywhere
+        EXPECT_TRUE(bitIdentical(
+            convolveTemporalDelta(delta, bank, p.stride, 1, table()),
+            referenceConvolveI32(delta, bank, p.stride, 1)));
+        bank.at(4, 1, 1, 1) = 32767;
+        try {
+            convolveTemporalDelta(delta, bank, p.stride, 1, table());
+            ADD_FAILURE() << "no overflow at w=" << p.w << " x=" << p.x;
+        } catch (const std::overflow_error &e) {
+            EXPECT_STREQ(e.what(), "temporal conv: accumulator overflow");
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AvailableIsas, ConvolveI32Oracle,
     ::testing::ValuesIn(simd::availableIsas()),
     [](const ::testing::TestParamInfo<simd::Isa> &isa_info) {
         return std::string(simd::isaName(isa_info.param));

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <utility>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/aligned.hh"
@@ -70,6 +72,43 @@ TEST(BufferPool, SteadyStateCountsOnlyPostMarkHeapFetches)
     void *r = pool.acquire(100000, big);
     pool.release(r, big);
     EXPECT_EQ(pool.stats().steadyFetches, 1u);
+}
+
+TEST(BufferPool, BlocksArePagesReturnedWhenThePoolDies)
+{
+    const std::uint64_t before = BufferPool::globalBytesInUse();
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    {
+        BufferPool pool;
+        std::size_t tiny = 0;
+        std::size_t mid = 0;
+        std::size_t slab = 0;
+        void *t = pool.acquire(1, tiny);
+        void *m = pool.acquire(page + 1, mid);
+        void *s = pool.acquire(FrameArena::kSlabBytes, slab);
+        EXPECT_EQ(tiny, 64u);
+        EXPECT_EQ(mid, 2 * page);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t) % page, 0u);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m) % page, 0u);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s) % page, 0u);
+        std::memset(t, 0x3C, tiny); // every block is writable
+        std::memset(m, 0xA5, mid);
+        std::memset(s, 0x5A, slab);
+        EXPECT_EQ(BufferPool::globalBytesInUse() - before,
+                  tiny + mid + slab);
+
+        // Released blocks stay cached (and counted) until the pool
+        // dies, and a cached block is reused like any other.
+        pool.release(m, mid);
+        std::size_t again = 0;
+        EXPECT_EQ(pool.acquire(2 * page - 1, again), m);
+        pool.release(m, again);
+        pool.release(s, slab);
+        pool.release(t, tiny);
+        EXPECT_EQ(BufferPool::globalBytesInUse() - before,
+                  tiny + mid + slab);
+    }
+    EXPECT_EQ(BufferPool::globalBytesInUse(), before);
 }
 
 TEST(FrameArena, BumpAllocatesAlignedAndRecycles)

@@ -273,6 +273,16 @@ TEST(TemporalStep, SixteenFrameSequenceMatchesOracleByteForByte)
     EXPECT_EQ(anchored, 2 * layerCount);
 }
 
+TEST(TemporalStep, OracleChecksAnchorOnlyStreams)
+{
+    // K = 1: every layer of every frame anchors, so every step runs
+    // the anchor kernel under the per-frame oracle.
+    const std::vector<int> frames = {0, 1, 2, 3, 4, 5};
+    const int layerCount = 3; // MicroServe depth
+    EXPECT_EQ(runOracleCheckedSequence(frames, 1),
+              static_cast<int>(frames.size()) * layerCount);
+}
+
 TEST(TemporalStep, DroppedFramesWidenDeltaButStayExact)
 {
     // A camera under backpressure: frames 3..6 and 11 dropped.
