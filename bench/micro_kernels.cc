@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the hot kernels: Booth-term
  * counting, the activation codecs, the direct and differential
  * fixed-point convolutions, the whole-layer float and fixed-point
- * convolution kernels, and the PRA/Diffy pallet walk.
+ * convolution kernels, the CRC-32C trace checksum, and the PRA/Diffy
+ * pallet walk.
  *
  * The BM_Isa* family is registered at startup once per available
  * kernel table (common/simd.hh), so one run records scalar, SSE4 and
@@ -289,6 +290,22 @@ BM_IsaHashStripes(benchmark::State &state, const simd::KernelTable *kt)
 }
 
 void
+BM_IsaCrc32c(benchmark::State &state, const simd::KernelTable *kt)
+{
+    // An 8 MiB block: the size class of a trace-cache body's tensors.
+    Rng rng(31);
+    AlignedVec<unsigned char> buf(std::size_t{8} << 20);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.below(256));
+    for (auto _ : state) {
+        std::uint32_t crc = kt->crc32c(buf.data(), buf.size(), 0);
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(buf.size()));
+}
+
+void
 BM_IsaConvolveF32(benchmark::State &state, const simd::KernelTable *kt)
 {
     // A CI-DNN body layer: 64 -> 64 channels, 3x3, on a 32x32 plane.
@@ -356,6 +373,8 @@ registerPerIsaBenches()
         benchmark::RegisterBenchmark(
             ("BM_IsaHashStripes" + suffix).c_str(), BM_IsaHashStripes,
             kt);
+        benchmark::RegisterBenchmark(
+            ("BM_IsaCrc32c" + suffix).c_str(), BM_IsaCrc32c, kt);
         benchmark::RegisterBenchmark(
             ("BM_IsaConvolveF32" + suffix).c_str(), BM_IsaConvolveF32,
             kt);

@@ -1,6 +1,5 @@
 #include "common/bitops.hh"
 
-#include <array>
 #include <bit>
 #include <cstring>
 
@@ -181,40 +180,10 @@ contentHash64(const void *data, std::size_t bytes, std::uint64_t seed)
     return h;
 }
 
-namespace
-{
-
-/**
- * CRC-32C (Castagnoli) lookup table, reflected polynomial 0x82F63B78.
- * Built once at first use; 1 KiB, shared by every caller.
- */
-const std::uint32_t *
-crc32cTable()
-{
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t n = 0; n < 256; ++n) {
-            std::uint32_t c = n;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
-            t[n] = c;
-        }
-        return t;
-    }();
-    return table.data();
-}
-
-} // namespace
-
 std::uint32_t
 crc32c(const void *data, std::size_t bytes, std::uint32_t crc)
 {
-    const std::uint32_t *table = crc32cTable();
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t c = ~crc;
-    for (std::size_t i = 0; i < bytes; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-    return ~c;
+    return simd::kernels().crc32c(data, bytes, crc);
 }
 
 int

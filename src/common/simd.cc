@@ -2,13 +2,14 @@
  * @file
  * Scalar reference kernels and the runtime ISA dispatcher. This TU is
  * compiled with baseline flags only — the scalar table must run on
- * any host the binary reaches. The SSE4/AVX2/NEON tables live in
- * simd_sse4.cc / simd_avx2.cc / simd_neon.cc behind per-TU -m flags.
+ * any host the binary reaches. The SSE4/AVX2 tables live in
+ * simd_sse4.cc / simd_avx2.cc behind per-TU -m flags.
  */
 
 #include "common/simd.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -166,6 +167,39 @@ scalarHashStripes(const unsigned char *p, std::size_t stripes,
     }
 }
 
+/**
+ * CRC-32C lookup table, reflected polynomial 0x82F63B78. Built once at
+ * first use; 1 KiB, shared by every caller.
+ */
+const std::uint32_t *
+crc32cTable()
+{
+    static const auto table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t n = 0; n < 256; ++n) {
+            std::uint32_t c = n;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1u) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+            t[n] = c;
+        }
+        return t;
+    }();
+    return table.data();
+}
+
+std::uint32_t
+scalarCrc32c(const void *data, std::size_t bytes, std::uint32_t crc)
+{
+    // One table lookup per byte: the oracle the x86 crc32 instruction
+    // is fuzzed against.
+    const std::uint32_t *table = crc32cTable();
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint32_t c = ~crc;
+    for (std::size_t i = 0; i < bytes; ++i)
+        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    return ~c;
+}
+
 /** True when the running CPU can execute @p isa. */
 bool
 cpuSupports(Isa isa)
@@ -178,10 +212,6 @@ cpuSupports(Isa isa)
         return __builtin_cpu_supports("sse4.2") != 0;
       case Isa::Avx2:
         return __builtin_cpu_supports("avx2") != 0;
-#endif
-#if defined(__aarch64__)
-      case Isa::Neon:
-        return true; // NEON is architectural on aarch64.
 #endif
       default:
         return false;
@@ -199,7 +229,7 @@ resolveOnce()
     if (!parseIsa(env, want)) {
         std::fprintf(stderr,
                      "diffy: unknown DIFFY_ISA '%s' "
-                     "(scalar|sse4|avx2|neon|native); using %s\n",
+                     "(scalar|sse4|avx2|native); using %s\n",
                      env, isaName(bestIsa()));
         return table(bestIsa());
     }
@@ -226,8 +256,6 @@ isaName(Isa isa)
         return "sse4";
       case Isa::Avx2:
         return "avx2";
-      case Isa::Neon:
-        return "neon";
     }
     return "?";
 }
@@ -235,7 +263,7 @@ isaName(Isa isa)
 bool
 parseIsa(const std::string &name, Isa &out)
 {
-    for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Avx2, Isa::Neon}) {
+    for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Avx2}) {
         if (name == isaName(isa)) {
             out = isa;
             return true;
@@ -244,9 +272,12 @@ parseIsa(const std::string &name, Isa &out)
     return false;
 }
 
+namespace
+{
+
 void
-detail::portableConvolveF32(const float *in, const float *weights,
-                            float *out, const ConvGeometry &g)
+portableConvolveF32(const float *in, const float *weights, float *out,
+                    const ConvGeometry &g)
 {
     // One axpy per (f, c, ky, kx) over the whole output plane: each
     // output still sums its taps in (c, ky, kx) order from +0.0f, and
@@ -289,9 +320,8 @@ detail::portableConvolveF32(const float *in, const float *weights,
 }
 
 bool
-detail::portableConvolveI32(const std::int32_t *in,
-                            const std::int16_t *weights, std::int32_t *out,
-                            const ConvGeometry &g)
+portableConvolveI32(const std::int32_t *in, const std::int16_t *weights,
+                    std::int32_t *out, const ConvGeometry &g)
 {
     // Row axpys over a stack block of int64 accumulators: each output
     // row is cut into blocks of kBlock columns, and every (c, ky, kx)
@@ -349,6 +379,8 @@ detail::portableConvolveI32(const std::int32_t *in,
     return ok;
 }
 
+} // namespace
+
 ConvGeometry
 sameConvGeometry(int channels, int filters, int inH, int inW, int kernel,
                  int stride, int dilation)
@@ -375,8 +407,8 @@ scalarTable()
         Isa::Scalar,        &scalarBoothPlane16, &scalarBoothPlane32,
         &scalarBitsPlane16, &scalarBitsPlane32,  &scalarGroupBits16,
         &scalarGroupBits32, &scalarDeltaBits16,  &scalarAddSat16,
-        &scalarWalkSumMax,  &scalarHashStripes,
-        &detail::portableConvolveF32, &detail::portableConvolveI32,
+        &scalarWalkSumMax,  &scalarHashStripes,  &scalarCrc32c,
+        &portableConvolveF32, &portableConvolveI32,
     };
     return t;
 }
@@ -397,10 +429,6 @@ table(Isa isa)
       case Isa::Avx2:
         return &detail::avx2Table();
 #endif
-#if DIFFY_SIMD_NEON
-      case Isa::Neon:
-        return &detail::neonTable();
-#endif
       default:
         return nullptr;
     }
@@ -410,7 +438,7 @@ std::vector<Isa>
 availableIsas()
 {
     std::vector<Isa> out;
-    for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Avx2, Isa::Neon}) {
+    for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Avx2}) {
         if (table(isa) != nullptr)
             out.push_back(isa);
     }

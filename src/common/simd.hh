@@ -4,14 +4,15 @@
  *
  * Every batched inner loop of the reproduction — term/bits planes,
  * group-header reductions, temporal delta pack/unpack, the
- * interior-column pallet walk, content-hash bulk mixing, the float
- * convolution of the forward pass and the fixed-point convolution of
- * temporal serving — runs through one
+ * interior-column pallet walk, content-hash bulk mixing, the CRC-32C
+ * wire checksum, the float convolution of the forward pass and the
+ * fixed-point convolution of temporal serving — runs through one
  * function-pointer KernelTable resolved once at startup.
  * The scalar table is the PR 3 reference code and is always present;
- * SSE4/AVX2 (x86) and NEON (aarch64) tables are compiled in their own
- * translation units with per-TU -m flags, so the binary still runs on
- * baseline hardware and CPUID decides at runtime.
+ * the SSE4 and AVX2 tables (x86) are compiled in their own translation
+ * units with per-TU -m flags, so the binary still runs on baseline
+ * hardware and CPUID decides at runtime. Other architectures run the
+ * scalar table.
  *
  * Contract shared by every table: identical results to the scalar
  * table, bit for bit, on every input the callers can produce. Vector
@@ -19,7 +20,7 @@
  * scalar tails — never overreading masked loads — so no buffer
  * padding is required and sanitizers see only in-bounds accesses.
  *
- * `DIFFY_ISA=scalar|sse4|avx2|neon` overrides the CPUID probe for
+ * `DIFFY_ISA=scalar|sse4|avx2` overrides the CPUID probe for
  * testing (the CI byte-identical gates run every bench twice); an
  * unavailable or unknown request warns on stderr and falls back to
  * scalar so stdout purity is never at risk.
@@ -42,7 +43,6 @@ enum class Isa
     Scalar,
     Sse4,
     Avx2,
-    Neon,
 };
 
 /** Lowercase name used by DIFFY_ISA and the bench JSON context. */
@@ -144,6 +144,14 @@ struct KernelTable
                         std::uint32_t acc[8]) = nullptr;
 
     /**
+     * CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) of @p
+     * bytes bytes at @p data, continuing from @p crc: the value
+     * crc32c() in bitops.hh documents. Any alignment of @p data.
+     */
+    std::uint32_t (*crc32c)(const void *data, std::size_t bytes,
+                            std::uint32_t crc) = nullptr;
+
+    /**
      * Whole-layer float convolution over a zero-padded CHW input
      * (geometry in @p g; weights are (filters, channels, k, k)):
      * out[f][oy][ox] = the sum over (c, ky, kx), in that order and
@@ -208,15 +216,6 @@ namespace detail
 // referenced by the dispatcher only when compiled in.
 const KernelTable &sse4Table();
 const KernelTable &avx2Table();
-const KernelTable &neonTable();
-
-// The portable convolution entries of the scalar table, shared by the
-// tables that do not vectorize them.
-void portableConvolveF32(const float *in, const float *weights,
-                         float *out, const ConvGeometry &g);
-bool portableConvolveI32(const std::int32_t *in,
-                         const std::int16_t *weights, std::int32_t *out,
-                         const ConvGeometry &g);
 
 } // namespace detail
 

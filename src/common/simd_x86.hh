@@ -429,6 +429,32 @@ hashStripes(const unsigned char *p, std::size_t stripes,
     _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + 4), a1);
 }
 
+/**
+ * KernelTable::crc32c via the SSE4.2 crc32 instruction, which computes
+ * exactly the Castagnoli polynomial of the scalar table: one 8-byte
+ * word per instruction on x86-64 (unaligned loads through memcpy),
+ * then a byte tail.
+ */
+inline std::uint32_t
+crc32c(const void *data, std::size_t bytes, std::uint32_t crc)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint32_t c32 = ~crc;
+    std::size_t i = 0;
+#if defined(__x86_64__)
+    std::uint64_t c = c32;
+    for (; i + 8 <= bytes; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        c = _mm_crc32_u64(c, w);
+    }
+    c32 = static_cast<std::uint32_t>(c);
+#endif
+    for (; i < bytes; ++i)
+        c32 = _mm_crc32_u8(c32, p[i]);
+    return ~c32;
+}
+
 /*
  * Lane types of the whole-layer convolution tiles. Each names its
  * input, weight and output element types and the vector operations

@@ -1,8 +1,10 @@
 #include "nn/trace.hh"
 
+#include <array>
+#include <cstring>
 #include <istream>
+#include <memory>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -44,6 +46,12 @@ constexpr std::uint32_t kTraceMagic = 0xD1FF7002;
  */
 constexpr std::uint64_t kMaxTraceBytes = std::uint64_t{1} << 30;
 
+/**
+ * Fewest body bytes one layer record can take: a name length, nine
+ * spec/format fields, three imap dims and four weight dims.
+ */
+constexpr std::size_t kMinLayerBytes = 4 * (1 + 9 + 3 + 4);
+
 template <typename T>
 void
 writePod(std::ostream &os, const T &v)
@@ -62,106 +70,195 @@ readPod(std::istream &is)
     return v;
 }
 
-void
-writeString(std::ostream &os, const std::string &s)
+/**
+ * Where saveTrace's serializer puts the body. Without a stream it only
+ * counts bytes (the first pass, which sizes the envelope); with one it
+ * writes every piece and chains its CRC-32C (the second pass).
+ */
+struct BodySink
 {
-    writePod(os, static_cast<std::uint32_t>(s.size()));
-    os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
+    std::ostream *os = nullptr;
+    std::uint64_t bytes = 0;
+    std::uint32_t crc = 0;
 
-std::string
-readString(std::istream &is)
-{
-    auto n = readPod<std::uint32_t>(is);
-    std::string s(n, '\0');
-    is.read(s.data(), n);
-    if (!is)
-        throw std::runtime_error("trace stream truncated");
-    return s;
-}
+    void
+    put(const void *p, std::size_t n)
+    {
+        bytes += n;
+        if (os != nullptr) {
+            os->write(static_cast<const char *>(p),
+                      static_cast<std::streamsize>(n));
+            crc = crc32c(p, n, crc);
+        }
+    }
+
+    void
+    i32(int v)
+    {
+        const auto w = static_cast<std::int32_t>(v);
+        put(&w, sizeof w);
+    }
+
+    void
+    string(const std::string &s)
+    {
+        const auto n = static_cast<std::uint32_t>(s.size());
+        put(&n, sizeof n);
+        put(s.data(), s.size());
+    }
+
+    void
+    block(const std::int16_t *data, std::size_t n)
+    {
+        put(data, n * sizeof(std::int16_t));
+    }
+};
 
 void
-writeI16Block(std::ostream &os, const std::int16_t *data, std::size_t n)
+serializeBody(const NetworkTrace &trace, BodySink &out)
 {
-    os.write(reinterpret_cast<const char *>(data),
-             static_cast<std::streamsize>(n * sizeof(std::int16_t)));
-}
-
-void
-readI16Block(std::istream &is, std::int16_t *data, std::size_t n)
-{
-    is.read(reinterpret_cast<char *>(data),
-            static_cast<std::streamsize>(n * sizeof(std::int16_t)));
-    if (!is)
-        throw std::runtime_error("trace stream truncated");
-}
-
-void
-saveTraceBody(const NetworkTrace &trace, std::ostream &os)
-{
-    writeString(os, trace.network);
-    writePod(os, static_cast<std::int32_t>(trace.netClass));
-    writePod(os, static_cast<std::int32_t>(trace.frameHeight));
-    writePod(os, static_cast<std::int32_t>(trace.frameWidth));
-    writePod(os, static_cast<std::uint32_t>(trace.layers.size()));
+    out.string(trace.network);
+    out.i32(static_cast<int>(trace.netClass));
+    out.i32(trace.frameHeight);
+    out.i32(trace.frameWidth);
+    const auto layerCount = static_cast<std::uint32_t>(trace.layers.size());
+    out.put(&layerCount, sizeof layerCount);
     for (const auto &layer : trace.layers) {
-        writeString(os, layer.spec.name);
-        writePod(os, static_cast<std::int32_t>(layer.spec.inChannels));
-        writePod(os, static_cast<std::int32_t>(layer.spec.outChannels));
-        writePod(os, static_cast<std::int32_t>(layer.spec.kernel));
-        writePod(os, static_cast<std::int32_t>(layer.spec.stride));
-        writePod(os, static_cast<std::int32_t>(layer.spec.dilation));
-        writePod(os, static_cast<std::int32_t>(layer.spec.relu ? 1 : 0));
-        writePod(os,
-                 static_cast<std::int32_t>(layer.spec.resolutionDivisor));
-        writePod(os, static_cast<std::int32_t>(layer.imapFracBits));
-        writePod(os, static_cast<std::int32_t>(layer.weightFracBits));
+        out.string(layer.spec.name);
+        out.i32(layer.spec.inChannels);
+        out.i32(layer.spec.outChannels);
+        out.i32(layer.spec.kernel);
+        out.i32(layer.spec.stride);
+        out.i32(layer.spec.dilation);
+        out.i32(layer.spec.relu ? 1 : 0);
+        out.i32(layer.spec.resolutionDivisor);
+        out.i32(layer.imapFracBits);
+        out.i32(layer.weightFracBits);
         const auto &is3 = layer.imap.shape();
-        writePod(os, static_cast<std::int32_t>(is3.c));
-        writePod(os, static_cast<std::int32_t>(is3.h));
-        writePod(os, static_cast<std::int32_t>(is3.w));
-        writeI16Block(os, layer.imap.data(), layer.imap.size());
+        out.i32(is3.c);
+        out.i32(is3.h);
+        out.i32(is3.w);
+        out.block(layer.imap.data(), layer.imap.size());
         const auto &ws = layer.weights.shape();
-        writePod(os, static_cast<std::int32_t>(ws.k));
-        writePod(os, static_cast<std::int32_t>(ws.c));
-        writePod(os, static_cast<std::int32_t>(ws.h));
-        writePod(os, static_cast<std::int32_t>(ws.w));
-        writeI16Block(os, layer.weights.data(), layer.weights.size());
+        out.i32(ws.k);
+        out.i32(ws.c);
+        out.i32(ws.h);
+        out.i32(ws.w);
+        out.block(layer.weights.data(), layer.weights.size());
     }
 }
 
+/**
+ * Bounds-checked reader over a CRC-verified body. Every read that
+ * would pass the end throws, and tensor dims are checked against the
+ * bytes left before anything is allocated for them, so a body whose
+ * CRC matches but whose fields are absurd (written by a buggy or
+ * hostile producer) fails cleanly too.
+ */
+class BodyCursor
+{
+  public:
+    BodyCursor(const char *p, std::size_t n) : p_(p), left_(n) {}
+
+    std::size_t left() const { return left_; }
+
+    void
+    take(void *dst, std::size_t n)
+    {
+        need(n);
+        std::memcpy(dst, p_, n);
+        p_ += n;
+        left_ -= n;
+    }
+
+    template <typename T>
+    T
+    pod()
+    {
+        T v;
+        take(&v, sizeof v);
+        return v;
+    }
+
+    int i32() { return pod<std::int32_t>(); }
+
+    std::string
+    string()
+    {
+        const auto n = pod<std::uint32_t>();
+        need(n);
+        std::string s(n, '\0');
+        take(s.data(), n);
+        return s;
+    }
+
+    /**
+     * Read N tensor dims; throws unless each is non-negative and the
+     * int16 block they describe fits in the bytes left.
+     */
+    template <std::size_t N>
+    std::array<int, N>
+    dims()
+    {
+        std::array<int, N> d;
+        std::uint64_t bytes = sizeof(std::int16_t);
+        for (int &v : d) {
+            v = i32();
+            if (v < 0)
+                throw std::runtime_error("trace declares a negative dim");
+            // bytes <= left_ <= 2^30 before each step and v < 2^31,
+            // so the product stays below 2^61.
+            bytes *= static_cast<std::uint64_t>(v);
+            if (bytes > left_)
+                throw std::runtime_error(
+                    "trace declares a block larger than its body");
+        }
+        return d;
+    }
+
+  private:
+    void
+    need(std::size_t n) const
+    {
+        if (n > left_)
+            throw std::runtime_error("trace body truncated");
+    }
+
+    const char *p_;
+    std::size_t left_;
+};
+
 NetworkTrace
-loadTraceBody(std::istream &is)
+parseBody(BodyCursor &in)
 {
     NetworkTrace trace;
-    trace.network = readString(is);
-    trace.netClass = static_cast<NetClass>(readPod<std::int32_t>(is));
-    trace.frameHeight = readPod<std::int32_t>(is);
-    trace.frameWidth = readPod<std::int32_t>(is);
-    auto layer_count = readPod<std::uint32_t>(is);
-    trace.layers.resize(layer_count);
+    trace.network = in.string();
+    trace.netClass = static_cast<NetClass>(in.i32());
+    trace.frameHeight = in.i32();
+    trace.frameWidth = in.i32();
+    const auto layerCount = in.pod<std::uint32_t>();
+    if (layerCount > in.left() / kMinLayerBytes)
+        throw std::runtime_error(
+            "trace declares more layers than its body holds");
+    trace.layers.resize(layerCount);
     for (auto &layer : trace.layers) {
-        layer.spec.name = readString(is);
-        layer.spec.inChannels = readPod<std::int32_t>(is);
-        layer.spec.outChannels = readPod<std::int32_t>(is);
-        layer.spec.kernel = readPod<std::int32_t>(is);
-        layer.spec.stride = readPod<std::int32_t>(is);
-        layer.spec.dilation = readPod<std::int32_t>(is);
-        layer.spec.relu = readPod<std::int32_t>(is) != 0;
-        layer.spec.resolutionDivisor = readPod<std::int32_t>(is);
-        layer.imapFracBits = readPod<std::int32_t>(is);
-        layer.weightFracBits = readPod<std::int32_t>(is);
-        int ic = readPod<std::int32_t>(is);
-        int ih = readPod<std::int32_t>(is);
-        int iw = readPod<std::int32_t>(is);
+        layer.spec.name = in.string();
+        layer.spec.inChannels = in.i32();
+        layer.spec.outChannels = in.i32();
+        layer.spec.kernel = in.i32();
+        layer.spec.stride = in.i32();
+        layer.spec.dilation = in.i32();
+        layer.spec.relu = in.i32() != 0;
+        layer.spec.resolutionDivisor = in.i32();
+        layer.imapFracBits = in.i32();
+        layer.weightFracBits = in.i32();
+        const auto [ic, ih, iw] = in.dims<3>();
         layer.imap = TensorI16(ic, ih, iw);
-        readI16Block(is, layer.imap.data(), layer.imap.size());
-        int wk = readPod<std::int32_t>(is);
-        int wc = readPod<std::int32_t>(is);
-        int wh = readPod<std::int32_t>(is);
-        int ww = readPod<std::int32_t>(is);
+        in.take(layer.imap.data(), layer.imap.size() * sizeof(std::int16_t));
+        const auto [wk, wc, wh, ww] = in.dims<4>();
         layer.weights = FilterBankI16(wk, wc, wh, ww);
-        readI16Block(is, layer.weights.data(), layer.weights.size());
+        in.take(layer.weights.data(),
+                layer.weights.size() * sizeof(std::int16_t));
     }
     return trace;
 }
@@ -172,15 +269,16 @@ void
 saveTrace(const NetworkTrace &trace, std::ostream &os)
 {
     // CRC-framed envelope: magic, u64 body length, body, u32
-    // crc32c(body). The body is serialized to memory first so the
-    // checksum covers exactly the bytes on the wire.
-    std::ostringstream body(std::ios::binary);
-    saveTraceBody(trace, body);
-    const std::string bytes = body.str();
+    // crc32c(body). One serializer runs twice: a counting pass sizes
+    // the body, then the writing pass streams it to os and checksums
+    // exactly the bytes it writes.
+    BodySink sink;
+    serializeBody(trace, sink);
     writePod(os, kTraceMagic);
-    writePod(os, static_cast<std::uint64_t>(bytes.size()));
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    writePod(os, crc32c(bytes.data(), bytes.size()));
+    writePod(os, sink.bytes);
+    sink = BodySink{&os};
+    serializeBody(trace, sink);
+    writePod(os, sink.crc);
 }
 
 NetworkTrace
@@ -191,20 +289,24 @@ loadTrace(std::istream &is)
     auto byteCount = readPod<std::uint64_t>(is);
     if (byteCount > kMaxTraceBytes)
         throw std::runtime_error("trace declares an absurd body size");
-    // Buffer and verify the whole body *before* parsing: a corrupt
-    // length field inside the body can otherwise drive a huge
-    // allocation, and a flipped tensor byte would silently smear into
-    // downstream sims.
-    std::string bytes(static_cast<std::size_t>(byteCount), '\0');
-    is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    // Read and verify the whole body *before* parsing: a flipped
+    // tensor byte would otherwise silently smear into downstream sims.
+    // One uninitialised buffer holds it; the cursor then copies each
+    // block straight into its tensor.
+    const auto n = static_cast<std::size_t>(byteCount);
+    const auto bytes = std::make_unique_for_overwrite<char[]>(n);
+    is.read(bytes.get(), static_cast<std::streamsize>(n));
     if (!is)
         throw std::runtime_error("trace stream truncated");
     auto expected = readPod<std::uint32_t>(is);
-    if (crc32c(bytes.data(), bytes.size()) != expected)
+    if (crc32c(bytes.get(), n) != expected)
         throw std::runtime_error(
             "trace checksum mismatch (detected corruption)");
-    std::istringstream body(bytes, std::ios::binary);
-    return loadTraceBody(body);
+    BodyCursor body(bytes.get(), n);
+    NetworkTrace trace = parseBody(body);
+    if (body.left() != 0)
+        throw std::runtime_error("trace body has trailing bytes");
+    return trace;
 }
 
 } // namespace diffy

@@ -127,6 +127,151 @@ TEST(TraceSerialization, ChecksumCatchesSingleFlippedByte)
     }
 }
 
+/** Body bytes built field by field, in the order saveTrace writes them. */
+struct WireBuilder
+{
+    std::string bytes;
+
+    template <typename T>
+    WireBuilder &
+    pod(T v)
+    {
+        bytes.append(reinterpret_cast<const char *>(&v), sizeof v);
+        return *this;
+    }
+    WireBuilder &i32(std::int32_t v) { return pod(v); }
+    WireBuilder &
+    str(const std::string &s)
+    {
+        pod(static_cast<std::uint32_t>(s.size()));
+        bytes += s;
+        return *this;
+    }
+    WireBuilder &
+    i16s(std::initializer_list<std::int16_t> vs)
+    {
+        for (std::int16_t v : vs)
+            pod(v);
+        return *this;
+    }
+};
+
+/** magic | u64 body length | body | crc32c(body). */
+std::string
+envelope(const std::string &body)
+{
+    WireBuilder w;
+    w.pod(std::uint32_t{0xD1FF7002})
+        .pod(static_cast<std::uint64_t>(body.size()));
+    w.bytes += body;
+    w.pod(crc32c(body.data(), body.size()));
+    return w.bytes;
+}
+
+/**
+ * A body that declares @p layers layers but holds one, whose imap dims
+ * are @p c x @p h x @p w over four values.
+ */
+std::string
+oneLayerBody(std::uint32_t layers, std::int32_t c, std::int32_t h,
+             std::int32_t w)
+{
+    WireBuilder b;
+    b.str("net").i32(0).i32(4).i32(4).pod(layers);
+    b.str("conv1");
+    for (int field = 0; field < 9; ++field)
+        b.i32(1);
+    b.i32(c).i32(h).i32(w).i16s({1, 2, 3, 4});
+    b.i32(1).i32(1).i32(1).i32(1).i16s({5});
+    return b.bytes;
+}
+
+TEST(TraceSerialization, WireFormatIsPinned)
+{
+    // A hand-built trace and the bytes the format promises for it:
+    // any change to the layout (or to the CRC) fails here.
+    NetworkTrace trace;
+    trace.network = "tiny";
+    trace.netClass = NetClass::Classification;
+    trace.frameHeight = 3;
+    trace.frameWidth = 2;
+    LayerTrace layer;
+    layer.spec.name = "c1";
+    layer.spec.inChannels = 1;
+    layer.spec.outChannels = 2;
+    layer.spec.kernel = 1;
+    layer.spec.stride = 1;
+    layer.spec.dilation = 1;
+    layer.spec.relu = true;
+    layer.spec.resolutionDivisor = 1;
+    layer.imapFracBits = 7;
+    layer.weightFracBits = 9;
+    layer.imap = TensorI16(1, 1, 2);
+    layer.imap.data()[0] = -3;
+    layer.imap.data()[1] = 300;
+    layer.weights = FilterBankI16(2, 1, 1, 1);
+    layer.weights.data()[0] = 17;
+    layer.weights.data()[1] = -32768;
+    trace.layers.push_back(layer);
+
+    WireBuilder body;
+    body.str("tiny")
+        .i32(static_cast<std::int32_t>(NetClass::Classification))
+        .i32(3)
+        .i32(2)
+        .pod(std::uint32_t{1});
+    body.str("c1").i32(1).i32(2).i32(1).i32(1).i32(1).i32(1).i32(1);
+    body.i32(7).i32(9);
+    body.i32(1).i32(1).i32(2).i16s({-3, 300});
+    body.i32(2).i32(1).i32(1).i32(1).i16s({17, -32768});
+
+    std::stringstream ss;
+    saveTrace(trace, ss);
+    EXPECT_EQ(ss.str(), envelope(body.bytes));
+}
+
+TEST(TraceSerialization, SaveLoadSaveIsByteIdentical)
+{
+    NetworkTrace trace = smallTrace();
+    std::stringstream first;
+    saveTrace(trace, first);
+    std::stringstream in(first.str());
+    std::stringstream second;
+    saveTrace(loadTrace(in), second);
+    EXPECT_EQ(first.str(), second.str());
+}
+
+/**
+ * CRC-valid bodies that do not parse. The absurd counts must be refused
+ * by the bounds checks before a tensor or the layer vector is sized:
+ * the allocations they ask for (up to 2^51 bytes) would throw bad_alloc
+ * or length_error rather than runtime_error here, and abort an ASan
+ * build.
+ */
+TEST(TraceSerialization, RejectsMalformedBodiesWithoutAllocating)
+{
+    // The well-formed body the cases below corrupt.
+    std::stringstream good(envelope(oneLayerBody(1, 1, 2, 2)));
+    const NetworkTrace trace = loadTrace(good);
+    ASSERT_EQ(trace.layers.size(), 1u);
+    EXPECT_EQ(trace.layers[0].imap.at(0, 1, 1), 4);
+    EXPECT_EQ(trace.layers[0].weights.data()[0], 5);
+
+    const std::string bodies[] = {
+        oneLayerBody(1, 1 << 20, 1 << 20, 1 << 10), // 2^51-byte imap
+        oneLayerBody(1, -1, 2, 2),                  // negative dim
+        oneLayerBody(1, 2, -1, -2),                 // negatives cancel
+        oneLayerBody(1, 1, 2, 3),                   // overruns the body
+        oneLayerBody(0xFFFFFFFFu, 1, 2, 2),         // 4G layers
+        oneLayerBody(2, 1, 2, 2),                   // second layer missing
+        oneLayerBody(1, 1, 2, 2) + "x",             // trailing byte
+    };
+    for (const std::string &body : bodies) {
+        std::stringstream ss(envelope(body));
+        EXPECT_THROW(loadTrace(ss), std::runtime_error);
+    }
+}
+
 class TraceCacheTest : public ::testing::Test
 {
   protected:

@@ -400,7 +400,7 @@ void
 ruleR8(const FileModel &model, std::vector<Finding> &out)
 {
     // The dispatch layer itself is the one sanctioned home for raw
-    // intrinsics (simd.hh/cc, simd_x86.hh, simd_sse4/avx2/neon.cc).
+    // intrinsics (simd.hh/cc, simd_x86.hh, simd_sse4/avx2.cc).
     if (startsWith(model.relPath, "src/common/simd"))
         return;
     // x86 `_mm*(...)` / `_mm256*(...)` and NEON q-register
