@@ -355,8 +355,8 @@ runChaos(ExperimentParams params, const CliArgs &args, std::uint64_t seed,
                 std::this_thread::sleep_for(std::chrono::milliseconds(
                     4 * std::max<std::int64_t>(1, params.jobTimeoutMs)));
             if (i == plan.cacheCell) {
-                // Fresh TraceCache (no in-memory entry): must detect
-                // the planted corruption, quarantine, regenerate.
+                // The disk load must detect the planted corruption,
+                // quarantine the file and regenerate the trace.
                 TraceCache cache(cacheDir,
                                  [](const NetworkSpec &,
                                     const SceneParams &,
@@ -372,7 +372,6 @@ runChaos(ExperimentParams params, const CliArgs &args, std::uint64_t seed,
             return measureCell(grid[i], clean, trials, seed);
         });
     const SweepReport &report = scheduler.report();
-    maybeReportSweepStats(scheduler.stats(), "chaos");
 
     TextTable table = makeGridTable(trials);
     for (std::size_t i = 0; i < grid.size(); ++i) {

@@ -160,16 +160,16 @@ traceSuite(const std::vector<NetworkSpec> &suite,
         }
     }
 
-    // Tracing dominates sweep wall-clock (float convolutions); the
-    // TraceCache is single-flight and thread-safe, so every bench
-    // parallelizes here without individual rewrites.
+    // Tracing dominates sweep wall-clock (float convolutions); each
+    // job loads or traces a distinct key through the thread-safe
+    // TraceCache, so every bench parallelizes here without individual
+    // rewrites.
     SweepScheduler scheduler = makeSweepScheduler(params);
     std::vector<NetworkTrace> traces =
         scheduler.map(jobs.size(), [&](SweepJob &job) {
             const TraceJob &tj = jobs[job.index];
             return cache.get(suite[tj.netIndex], tj.scene, opts);
         });
-    maybeReportSweepStats(scheduler.stats(), "traceSuite");
 
     std::vector<TracedNetwork> traced;
     traced.reserve(suite.size());

@@ -123,17 +123,14 @@ SweepScheduler makeSweepScheduler(const ExperimentParams &params);
  * evaluates @p fn(SweepJob&) for cells [0, cellCount) on the
  * experiment's worker threads and returns the results in cell order,
  * so downstream table construction is byte-identical at any thread
- * count. When DIFFY_SWEEP_STATS is set, a utilization summary is
- * printed to stderr (never stdout, which carries the tables).
+ * count.
  */
 template <typename Fn>
 auto
 sweepCells(const ExperimentParams &params, std::size_t cellCount, Fn &&fn)
 {
     SweepScheduler scheduler = makeSweepScheduler(params);
-    auto results = scheduler.map(cellCount, std::forward<Fn>(fn));
-    maybeReportSweepStats(scheduler.stats(), "cells");
-    return results;
+    return scheduler.map(cellCount, std::forward<Fn>(fn));
 }
 
 /** Traces of one network over several scenes. */

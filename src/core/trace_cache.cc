@@ -1,6 +1,10 @@
 #include "core/trace_cache.hh"
 
-#include <cstdio>
+#include <unistd.h>
+
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,9 +22,7 @@ namespace
 /** Registry handles for the trace-cache counters, resolved once. */
 struct CacheMetrics
 {
-    obs::Counter &hits;
     obs::Counter &misses;
-    obs::Counter &singleFlightWaits;
     obs::Counter &diskLoads;
     obs::Counter &corruptEvictions;
 };
@@ -30,13 +32,29 @@ cacheMetrics()
 {
     auto &reg = obs::MetricsRegistry::instance();
     static CacheMetrics metrics{
-        reg.counter("trace_cache.hits"),
         reg.counter("trace_cache.misses"),
-        reg.counter("trace_cache.singleflight_waits"),
         reg.counter("trace_cache.disk_loads"),
         reg.counter("trace_cache.corrupt_evictions"),
     };
     return metrics;
+}
+
+/**
+ * `<path>.<pid>-<n>.tmp`, unique per writer within and across
+ * processes. Built with `+=` pieces: GCC 12 reports a false
+ * -Wrestrict on `"." + std::to_string(...)`.
+ */
+std::filesystem::path
+tempPath(const std::filesystem::path &path)
+{
+    static std::atomic<std::uint64_t> next{0};
+    std::filesystem::path tmp = path;
+    tmp += ".";
+    tmp += std::to_string(::getpid());
+    tmp += "-";
+    tmp += std::to_string(next++);
+    tmp += ".tmp";
+    return tmp;
 }
 
 } // namespace
@@ -57,32 +75,31 @@ std::string
 TraceCache::cacheKey(const NetworkSpec &net, const SceneParams &scene,
                      const ExecutorOptions &opts)
 {
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
     std::ostringstream os;
     os << net.name << "_" << to_string(scene.kind) << "_" << scene.width
-       << "x" << scene.height << "_s" << std::hex << scene.seed << "_r"
-       << static_cast<int>(scene.roughness * 1000) << "_n"
-       << static_cast<int>(scene.noiseSigma * 1000) << "_w" << std::hex
-       << opts.weightSeed << "_p"
-       << static_cast<int>(opts.weightSparsity * 1000) << "_m" << std::hex
-       << opts.sparsitySeed << "_q" << std::dec
-       << static_cast<int>(opts.activationRelError * 100000);
+       << "x" << scene.height << std::hex << "_s" << scene.seed << "_r"
+       << bits(scene.roughness) << "_n" << bits(scene.noiseSigma) << "_w"
+       << opts.weightSeed << "_p" << bits(opts.weightSparsity) << "_m"
+       << opts.sparsitySeed << "_q" << bits(opts.activationRelError);
     return os.str();
 }
 
 NetworkTrace
-TraceCache::compute(const std::string &key, const NetworkSpec &net,
-                    const SceneParams &scene,
-                    const ExecutorOptions &opts) const
+TraceCache::get(const NetworkSpec &net, const SceneParams &scene,
+                const ExecutorOptions &opts) const
 {
     obs::Span span(obs::Tracer::global(), "trace_cache.compute");
+    CacheMetrics &metrics = cacheMetrics();
     std::filesystem::path path;
     if (!directory_.empty()) {
-        path = std::filesystem::path(directory_) / (key + ".trace");
+        path = std::filesystem::path(directory_) /
+               (cacheKey(net, scene, opts) + ".trace");
         if (std::filesystem::exists(path)) {
             std::ifstream in(path, std::ios::binary);
             try {
                 NetworkTrace trace = loadTrace(in);
-                cacheMetrics().diskLoads.add(1);
+                metrics.diskLoads.add(1);
                 return trace;
             } catch (const std::exception &) {
                 // Corrupt or stale cache entry (bad magic, truncated,
@@ -90,10 +107,10 @@ TraceCache::compute(const std::string &key, const NetworkSpec &net,
                 // envelope): quarantine the file under a `.corrupt`
                 // name so it can be inspected post-mortem and can
                 // never be re-read as a valid entry, then fall
-                // through to the single-flight recompute; the store
-                // below writes a fresh, verified entry.
+                // through to the recompute; the store below writes a
+                // fresh, verified entry.
                 in.close();
-                cacheMetrics().corruptEvictions.add(1);
+                metrics.corruptEvictions.add(1);
                 std::error_code ec;
                 std::filesystem::path corrupt = path;
                 corrupt += ".corrupt";
@@ -104,6 +121,7 @@ TraceCache::compute(const std::string &key, const NetworkSpec &net,
         }
     }
 
+    metrics.misses.add(1);
     NetworkTrace trace = tracer_(net, scene, opts);
 
     if (!directory_.empty()) {
@@ -111,70 +129,19 @@ TraceCache::compute(const std::string &key, const NetworkSpec &net,
         std::filesystem::create_directories(directory_, ec);
         if (!ec) {
             // Write-to-temp + rename: a concurrent reader (or another
-            // process) never sees a partially written trace file.
-            std::filesystem::path tmp = path;
-            tmp += ".tmp";
-            {
-                std::ofstream out(tmp, std::ios::binary);
-                saveTrace(trace, out);
-            }
-            std::filesystem::rename(tmp, path, ec);
-            if (ec)
+            // process) never sees a partially written trace file, and
+            // a failed write never replaces the entry.
+            const std::filesystem::path tmp = tempPath(path);
+            std::ofstream out(tmp, std::ios::binary);
+            saveTrace(trace, out);
+            out.close();
+            if (out)
+                std::filesystem::rename(tmp, path, ec);
+            if (!out || ec)
                 std::filesystem::remove(tmp, ec);
         }
     }
     return trace;
-}
-
-NetworkTrace
-TraceCache::get(const NetworkSpec &net, const SceneParams &scene,
-                const ExecutorOptions &opts)
-{
-    const std::string key = cacheKey(net, scene, opts);
-
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            std::shared_future<NetworkTrace> future = it->second;
-            lock.unlock();
-            cacheMetrics().hits.add(1);
-            return future.get();
-        }
-    }
-
-    std::promise<NetworkTrace> promise;
-    {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            // Lost the install race: wait on the winner's flight.
-            std::shared_future<NetworkTrace> future = it->second;
-            lock.unlock();
-            cacheMetrics().singleFlightWaits.add(1);
-            return future.get();
-        }
-        entries_.emplace(key, promise.get_future().share());
-    }
-    cacheMetrics().misses.add(1);
-
-    // Single-flight: this thread owns the computation for `key`; any
-    // concurrent requester blocks on the shared_future installed
-    // above. Tracing runs outside the lock so other keys make
-    // progress meanwhile.
-    try {
-        NetworkTrace trace = compute(key, net, scene, opts);
-        promise.set_value(trace);
-        return trace;
-    } catch (...) {
-        // Waiters inherit the failure via the future; drop the entry
-        // so a later get() can retry instead of replaying a stale
-        // exception forever.
-        promise.set_exception(std::current_exception());
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        entries_.erase(key);
-        throw;
-    }
 }
 
 } // namespace diffy

@@ -1,7 +1,6 @@
 /**
  * @file
- * On-disk + in-memory cache of forward-pass traces, safe for
- * concurrent use.
+ * Verified on-disk store of forward-pass traces.
  *
  * Several bench binaries consume the same (network, scene, crop)
  * forward passes; the cache keys traces by those parameters plus the
@@ -9,31 +8,28 @@
  * "traces/" beneath the working directory) so repeated runs skip the
  * float convolutions.
  *
- * Concurrency model (see DESIGN.md §8): lookups of completed entries
- * take a shared lock; the first requester of a missing key installs a
- * shared_future under an exclusive lock and then traces outside any
- * lock, so N sweep workers asking for the same trace block on one
- * single-flight computation instead of tracing N times. Disk stores
- * are write-to-temp + atomic rename, so a concurrent reader (even in
- * another process) never observes a half-written trace file.
+ * There is no in-memory tier: every caller in the tree asks for each
+ * key once, so get() is load-or-trace and moves the trace to its one
+ * owner, the caller. Concurrent get()s are safe (DESIGN.md §8): each
+ * store writes its own `<key>.trace.<pid>-<n>.tmp` and atomically
+ * renames it over `<key>.trace`, so a reader — even in another
+ * process — never observes a half-written trace file. Two concurrent
+ * requesters of a missing key may both trace it; both store the same
+ * trace and the last rename wins.
  *
  * Crash-safe recovery (DESIGN.md §12): trace files carry a CRC-32C
  * envelope (see nn/trace.cc) validated on load. An entry that fails
  * the magic, length, or checksum check is renamed to
  * `<key>.trace.corrupt` for post-mortem inspection, counted in
- * `trace_cache.corrupt_evictions`, and regenerated through the same
- * single-flight path as a plain miss — garbage on disk never reaches
- * a simulation.
+ * `trace_cache.corrupt_evictions`, and regenerated like a plain
+ * miss — garbage on disk never reaches a simulation.
  */
 
 #ifndef DIFFY_CORE_TRACE_CACHE_HH
 #define DIFFY_CORE_TRACE_CACHE_HH
 
 #include <functional>
-#include <future>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
 #include "image/synth.hh"
 #include "nn/executor.hh"
@@ -42,7 +38,7 @@
 namespace diffy
 {
 
-/** Load-or-compute cache of network traces. Thread-safe. */
+/** Load-or-trace store of network traces. Thread-safe. */
 class TraceCache
 {
   public:
@@ -60,29 +56,24 @@ class TraceCache
                         Tracer tracer = {});
 
     /**
-     * Return the trace of @p net on the scene, computing and caching
-     * it if absent. Concurrent calls for the same key share one
-     * computation; calls for different keys proceed in parallel.
+     * Return the trace of @p net on the scene: a CRC-verified disk
+     * load, or one tracer call followed by an atomic store.
      */
     NetworkTrace get(const NetworkSpec &net, const SceneParams &scene,
-                     const ExecutorOptions &opts = {});
+                     const ExecutorOptions &opts = {}) const;
 
-    /** Cache key for a (network, scene, options) combination. */
+    /**
+     * Cache key for a (network, scene, options) combination. Doubles
+     * enter by their exact bit pattern, so distinct values never
+     * share a key.
+     */
     static std::string cacheKey(const NetworkSpec &net,
                                 const SceneParams &scene,
                                 const ExecutorOptions &opts);
 
   private:
-    NetworkTrace compute(const std::string &key, const NetworkSpec &net,
-                         const SceneParams &scene,
-                         const ExecutorOptions &opts) const;
-
     std::string directory_;
     Tracer tracer_;
-    /** Completed and in-flight entries, keyed by cacheKey(). */
-    std::unordered_map<std::string, std::shared_future<NetworkTrace>>
-        entries_;
-    std::shared_mutex mutex_;
 };
 
 } // namespace diffy

@@ -4,7 +4,7 @@
  * histograms registered by name.
  *
  * Design (DESIGN.md §11): instrumentation sites grab a metric handle
- * once (`MetricsRegistry::instance().counter("trace_cache.hits")`) and
+ * once (`MetricsRegistry::instance().counter("trace_cache.misses")`) and
  * record through it on the hot path. Each counter/histogram keeps one
  * shard per recording thread — allocated lazily through a thread-local
  * cache (the same idiom as `common/cache_registry`) — so recording

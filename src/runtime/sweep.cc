@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -108,45 +106,6 @@ micros(double seconds)
 }
 
 } // namespace
-
-double
-SweepStats::utilization() const
-{
-    double capacity = wallSeconds * threads;
-    return capacity > 0.0 ? busySeconds / capacity : 0.0;
-}
-
-std::string
-SweepStats::summary() const
-{
-    std::ostringstream os;
-    os.precision(3);
-    os << std::fixed;
-    os << "sweep: " << jobs << " jobs on " << threads << " thread"
-       << (threads == 1 ? "" : "s") << ", wall " << wallSeconds
-       << "s, busy " << busySeconds << "s (job min " << minJobSeconds
-       << "s / max " << maxJobSeconds << "s), queue wait "
-       << queueWaitSeconds << "s, utilization ";
-    os.precision(1);
-    os << utilization() * 100.0 << "%";
-    return os.str();
-}
-
-bool
-sweepStatsEnabled()
-{
-    const char *env = std::getenv("DIFFY_SWEEP_STATS");
-    return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-void
-maybeReportSweepStats(const SweepStats &stats, const std::string &label)
-{
-    if (!sweepStatsEnabled())
-        return;
-    std::fprintf(stderr, "%s: %s\n", label.c_str(),
-                 stats.summary().c_str());
-}
 
 SweepScheduler::SweepScheduler(int threads, std::uint64_t baseSeed)
     : threads_(resolveThreadCount(threads)), baseSeed_(baseSeed),

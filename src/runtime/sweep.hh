@@ -69,8 +69,9 @@ struct SweepJob
      * frame storage allocate through it (or install it as the ambient
      * scratch resource via ArenaScope for the extent of the body).
      * The scheduler deliberately does *not* install an ambient scope
-     * itself — some job bodies hand containers to caches that outlive
-     * the job (e.g. the trace cache), and those must stay heap-backed.
+     * itself — some job bodies return containers that outlive the job
+     * (e.g. the traces traceSuite hands to its caller), and those must
+     * stay heap-backed.
      * Never null inside a body; invalid after the body returns.
      */
     FrameArena *arena = nullptr;
@@ -94,12 +95,6 @@ struct SweepStats
     /** Extremes over the per-job execution times. */
     double minJobSeconds = 0.0;
     double maxJobSeconds = 0.0;
-
-    /** Fraction of the worker-seconds spent executing jobs. */
-    double utilization() const;
-
-    /** One-line human-readable report. */
-    std::string summary() const;
 };
 
 /** Maps a flattened experiment grid onto a thread pool. */
@@ -220,17 +215,6 @@ class SweepScheduler
     SweepReport report_;
     std::unique_ptr<ArenaRoster> arenas_;
 };
-
-/** True when the DIFFY_SWEEP_STATS environment variable is set. */
-bool sweepStatsEnabled();
-
-/**
- * Print "<label>: <stats.summary()>" to stderr when DIFFY_SWEEP_STATS
- * is set. Stderr, never stdout: the determinism contract covers the
- * tables on stdout, while timing is inherently run-dependent.
- */
-void maybeReportSweepStats(const SweepStats &stats,
-                           const std::string &label);
 
 } // namespace diffy
 

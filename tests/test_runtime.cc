@@ -3,7 +3,7 @@
  * Tests for the parallel execution runtime: thread pool lifecycle and
  * exception capture, sweep-scheduler determinism (byte-identical
  * reduction at any thread count), deterministic exception selection,
- * and single-flight concurrency of the trace cache.
+ * and concurrent same-key stores of the trace cache.
  *
  * These tests are built into their own binary (diffy_runtime_tests) so
  * the ThreadSanitizer CI job can run exactly the concurrency surface.
@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -186,8 +187,6 @@ TEST(SweepScheduler, RecordsTimingCounters)
     EXPECT_GE(stats.busySeconds, 8 * 0.001);
     EXPECT_GE(stats.maxJobSeconds, stats.minJobSeconds);
     EXPECT_GE(stats.queueWaitSeconds, 0.0);
-    EXPECT_GT(stats.utilization(), 0.0);
-    EXPECT_NE(stats.summary().find("8 jobs"), std::string::npos);
 }
 
 TEST(SweepScheduler, StatsAreARegistryView)
@@ -270,59 +269,72 @@ testScene(int seed)
     return scene;
 }
 
-TEST(TraceCacheConcurrent, SingleFlightTracesOncePerKey)
+TEST(TraceCacheConcurrent, SameKeyWritersPublishOneFile)
 {
+    // One directory per test process (ctest runs tests in parallel).
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        "diffy_trace_cache_same_key_writers";
+    std::filesystem::remove_all(dir);
     std::atomic<int> traceCalls{0};
-    TraceCache cache(
-        "", [&traceCalls](const NetworkSpec &, const SceneParams &scene,
-                          const ExecutorOptions &) {
-            ++traceCalls;
-            // Stretch the computation so every worker is inside get()
-            // for the same key while the first one still traces.
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            NetworkTrace trace;
-            trace.network = "stub";
-            trace.frameHeight = scene.height;
-            trace.frameWidth = scene.width;
-            return trace;
-        });
-
-    auto &reg = obs::MetricsRegistry::instance();
-    const std::uint64_t hits0 = reg.counter("trace_cache.hits").value();
-    const std::uint64_t misses0 =
-        reg.counter("trace_cache.misses").value();
-    const std::uint64_t waits0 =
-        reg.counter("trace_cache.singleflight_waits").value();
+    TraceCache cache(dir.string(), [&traceCalls](const NetworkSpec &,
+                                                 const SceneParams &scene,
+                                                 const ExecutorOptions &) {
+        // Stretch the computation so several workers trace the same
+        // key at once and race their stores. Each call fills a 1 MiB
+        // imap with its own value, so writers sharing one temp file
+        // would interleave into an entry that fails its CRC.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        NetworkTrace trace;
+        trace.network = "stub";
+        trace.frameHeight = scene.height;
+        trace.frameWidth = scene.width;
+        LayerTrace layer;
+        layer.imap = TensorI16(128, 64, 64,
+                               static_cast<std::int16_t>(++traceCalls));
+        layer.weights = FilterBankI16(1, 128, 3, 3);
+        trace.layers.push_back(std::move(layer));
+        return trace;
+    });
 
     NetworkSpec net = makeIrCnn();
     {
         ThreadPool pool(8);
+        // Repeated gets make early finishers read the published entry
+        // while slower workers are still storing theirs.
         for (int i = 0; i < 8; ++i)
             pool.submit([&] {
-                NetworkTrace t = cache.get(net, testScene(1));
-                EXPECT_EQ(t.network, "stub");
+                for (int round = 0; round < 8; ++round) {
+                    NetworkTrace t = cache.get(net, testScene(1));
+                    EXPECT_EQ(t.network, "stub");
+                    EXPECT_EQ(t.frameWidth, 16);
+                }
             });
         pool.wait();
     }
-    EXPECT_EQ(traceCalls.load(), 1);
-    // Exactly one requester computed; the other seven either hit the
-    // installed future or lost the install race and waited on it.
-    EXPECT_EQ(reg.counter("trace_cache.misses").value() - misses0, 1u);
-    EXPECT_EQ((reg.counter("trace_cache.hits").value() - hits0) +
-                  (reg.counter("trace_cache.singleflight_waits").value() -
-                   waits0),
-              7u);
 
-    // A different key is its own flight.
-    cache.get(net, testScene(2));
-    EXPECT_EQ(traceCalls.load(), 2);
-    // And a repeated key hits the in-memory entry.
-    cache.get(net, testScene(1));
-    EXPECT_EQ(traceCalls.load(), 2);
-    EXPECT_GE(reg.counter("trace_cache.hits").value() - hits0, 1u);
+    // Every writer renamed its own temp file over the one entry: no
+    // temp is left behind and no torn file was ever quarantined.
+    int traces = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().extension(), ".trace") << entry.path();
+        ++traces;
+    }
+    EXPECT_EQ(traces, 1);
+
+    // The published entry is whole: it loads without an eviction.
+    auto &reg = obs::MetricsRegistry::instance();
+    const std::uint64_t loads0 = reg.counter("trace_cache.disk_loads").value();
+    const std::uint64_t evictions0 =
+        reg.counter("trace_cache.corrupt_evictions").value();
+    EXPECT_EQ(cache.get(net, testScene(1)).network, "stub");
+    EXPECT_EQ(reg.counter("trace_cache.disk_loads").value() - loads0, 1u);
+    EXPECT_EQ(reg.counter("trace_cache.corrupt_evictions").value(),
+              evictions0);
+    std::filesystem::remove_all(dir);
 }
 
-TEST(TraceCacheConcurrent, FailedFlightPropagatesAndRetries)
+TEST(TraceCacheConcurrent, FailedTraceIsNotCached)
 {
     std::atomic<int> traceCalls{0};
     TraceCache cache("", [&traceCalls](const NetworkSpec &,
@@ -337,8 +349,9 @@ TEST(TraceCacheConcurrent, FailedFlightPropagatesAndRetries)
     });
     NetworkSpec net = makeIrCnn();
     EXPECT_THROW(cache.get(net, testScene(1)), std::runtime_error);
-    // The failed entry was evicted: the next get retries.
+    // Nothing of the failure was kept: the next get traces again.
     EXPECT_EQ(cache.get(net, testScene(1)).network, "recovered");
+    EXPECT_EQ(traceCalls.load(), 2);
 }
 
 // ------------------------------------------------- end-to-end sweeps

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -288,12 +289,29 @@ class TraceCacheTest : public ::testing::Test
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
 
+    /** Cache over dir_ whose (real) tracer counts its calls. */
+    TraceCache countingCache()
+    {
+        return TraceCache(dir_.string(), [this](const NetworkSpec &net,
+                                                const SceneParams &scene,
+                                                const ExecutorOptions &opts) {
+            ++traceCalls_;
+            return runNetwork(net, renderScene(scene), opts);
+        });
+    }
+
+    static std::uint64_t counter(const char *name)
+    {
+        return obs::MetricsRegistry::instance().counter(name).value();
+    }
+
     std::filesystem::path dir_;
+    int traceCalls_ = 0;
 };
 
 TEST_F(TraceCacheTest, SecondGetHitsDisk)
 {
-    TraceCache cache(dir_.string());
+    TraceCache cache = countingCache();
     SceneParams scene;
     scene.width = 16;
     scene.height = 16;
@@ -304,7 +322,10 @@ TEST_F(TraceCacheTest, SecondGetHitsDisk)
     auto files = std::distance(std::filesystem::directory_iterator(dir_),
                                std::filesystem::directory_iterator{});
     EXPECT_EQ(files, 1);
+    const std::uint64_t loads0 = counter("trace_cache.disk_loads");
     NetworkTrace second = cache.get(net, scene);
+    EXPECT_EQ(counter("trace_cache.disk_loads") - loads0, 1u);
+    EXPECT_EQ(traceCalls_, 1);
     EXPECT_EQ(second.layers.size(), first.layers.size());
     EXPECT_EQ(second.layers[2].imap, first.layers[2].imap);
 }
@@ -328,11 +349,18 @@ TEST_F(TraceCacheTest, KeyDistinguishesParameters)
     coarse.activationRelError = 0.05;
     EXPECT_NE(TraceCache::cacheKey(net, a, opts),
               TraceCache::cacheKey(net, a, coarse));
+    // Values that agree to three decimals are still distinct scenes.
+    SceneParams smooth = a;
+    smooth.roughness = 0.5;
+    SceneParams rougher = a;
+    rougher.roughness = 0.5004;
+    EXPECT_NE(TraceCache::cacheKey(net, smooth, opts),
+              TraceCache::cacheKey(net, rougher, opts));
 }
 
 TEST_F(TraceCacheTest, CorruptEntryIsRecomputed)
 {
-    TraceCache cache(dir_.string());
+    TraceCache cache = countingCache();
     SceneParams scene;
     scene.width = 16;
     scene.height = 16;
@@ -343,8 +371,11 @@ TEST_F(TraceCacheTest, CorruptEntryIsRecomputed)
         std::ofstream out(entry.path(), std::ios::binary);
         out << "garbage";
     }
+    const std::uint64_t evictions0 = counter("trace_cache.corrupt_evictions");
     NetworkTrace trace = cache.get(net, scene);
     EXPECT_EQ(trace.layers.size(), 7u);
+    EXPECT_EQ(counter("trace_cache.corrupt_evictions") - evictions0, 1u);
+    EXPECT_EQ(traceCalls_, 2);
 }
 
 TEST_F(TraceCacheTest, CorruptEntryIsQuarantinedAndRegenerated)
@@ -375,8 +406,8 @@ TEST_F(TraceCacheTest, CorruptEntryIsQuarantinedAndRegenerated)
                   static_cast<std::streamsize>(bytes.size()));
     }
 
-    // A fresh cache (cold memory layer) must detect the corruption on
-    // disk load, quarantine the file, and recompute.
+    // The next get must detect the corruption on disk load,
+    // quarantine the file, and recompute.
     TraceCache cache(dir_.string());
     NetworkTrace regenerated = cache.get(net, scene);
     EXPECT_EQ(regenerated.layers.size(), clean.layers.size());
