@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the hot-kernel microbenchmarks (Booth counting, term planes,
-# content hash, PRA/Diffy pallet walk, per-ISA kernel tables) and
+# PRA/Diffy pallet walk, per-ISA kernel tables) and
 # capture machine-readable results for perf-regression tracking.
 #
 # Usage: bench/run_micro.sh [BUILD_DIR] [OUT_JSON]
@@ -20,7 +20,7 @@ BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_kernels.json}"
 MIN_TIME="${BENCH_MIN_TIME:-0.05}"
 BIN="$BUILD_DIR/bench/micro_kernels"
-FILTER='BM_BoothTerms|BM_BoothTermsPlane|BM_ContentHash|BM_PalletWalk|BM_Isa'
+FILTER='BM_BoothTerms|BM_BoothTermsPlane|BM_PalletWalk|BM_Isa'
 
 if [ ! -x "$BIN" ]; then
     echo "error: $BIN not built (cmake --build $BUILD_DIR --target micro_kernels)" >&2

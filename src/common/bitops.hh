@@ -95,21 +95,10 @@ void bitsNeededPlane(const std::int32_t *src, std::uint8_t *dst,
 int groupBitsNeeded(const std::int16_t *group, std::size_t n);
 
 /**
- * 64-bit content hash (Murmur3-style, 8 bytes per mixing step). Used
- * by the simulation and footprint memo caches to identify identical
- * value streams cheaply. Deterministic for a given build of the
- * library; keys in-memory caches only, so the value is free to change
- * across library versions.
- */
-std::uint64_t contentHash64(const void *data, std::size_t bytes,
-                            std::uint64_t seed = 0xCBF29CE484222325ULL);
-
-/**
  * CRC-32C (Castagnoli polynomial, as used by iSCSI/ext4) over @p bytes
- * bytes of @p data. Unlike contentHash64() — a fast in-memory memo key
- * whose value is free to change — this is a *stable wire checksum*:
- * the value is part of the on-disk trace format and the EncodedTensor
- * integrity footer, so it must never change across library versions.
+ * bytes of @p data. This is a *stable wire checksum*: the value is
+ * part of the on-disk trace format and the EncodedTensor integrity
+ * footer, so it must never change across library versions.
  * Chain incremental computation by passing a previous result as
  * @p crc; crc32c("123456789") == 0xE3069283.
  */

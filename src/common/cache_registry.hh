@@ -2,11 +2,12 @@
  * @file
  * Central registry of thread-local memo-cache clear hooks.
  *
- * Several hot paths memoize pure functions in `thread_local` maps
- * (the pallet-walk cache in sim/pra, the bits-per-value and profiled-
- * precision memos in encode/footprint, the prepared-weights cache in
- * nn/executor). Each such cache is a correctness hazard if a stale
- * entry survives a sweep reconfiguration, and an operational hazard if
+ * A hot path may memoize a pure function in a `thread_local` map (the
+ * prepared-weights cache in nn/executor; facts derived from one trace
+ * layer live on the trace instead, see LayerFacts in nn/trace.hh), and
+ * a few thread_local pointers and shard caches (common/pool, obs)
+ * register the same way. Each such cache is a correctness hazard if a
+ * stale entry survives a sweep reconfiguration, and an operational hazard if
  * its clear hook exists only as an ad-hoc function nobody remembers to
  * call. This registry centralizes the hooks:
  *

@@ -145,28 +145,6 @@ scalarWalkSumMax(const std::uint8_t *base, std::size_t rowStride,
     return sum;
 }
 
-void
-scalarHashStripes(const unsigned char *p, std::size_t stripes,
-                  std::uint32_t acc[8])
-{
-    // Murmur3-x86 lane mix; every table must implement exactly this
-    // per-lane recurrence (lanes are independent by construction).
-    constexpr std::uint32_t c1 = 0xCC9E2D51u;
-    constexpr std::uint32_t c2 = 0x1B873593u;
-    for (std::size_t s = 0; s < stripes; ++s) {
-        for (int l = 0; l < 8; ++l) {
-            std::uint32_t k;
-            std::memcpy(&k, p + 32 * s + 4 * l, 4);
-            k *= c1;
-            k = std::rotl(k, 15);
-            k *= c2;
-            acc[l] ^= k;
-            acc[l] = std::rotl(acc[l], 13);
-            acc[l] = acc[l] * 5 + 0xE6546B64u;
-        }
-    }
-}
-
 /**
  * CRC-32C lookup table, reflected polynomial 0x82F63B78. Built once at
  * first use; 1 KiB, shared by every caller.
@@ -407,7 +385,7 @@ scalarTable()
         Isa::Scalar,        &scalarBoothPlane16, &scalarBoothPlane32,
         &scalarBitsPlane16, &scalarBitsPlane32,  &scalarGroupBits16,
         &scalarGroupBits32, &scalarDeltaBits16,  &scalarAddSat16,
-        &scalarWalkSumMax,  &scalarHashStripes,  &scalarCrc32c,
+        &scalarWalkSumMax,  &scalarCrc32c,
         &portableConvolveF32, &portableConvolveI32,
     };
     return t;

@@ -4,9 +4,9 @@
  *
  * Every batched inner loop of the reproduction — term/bits planes,
  * group-header reductions, temporal delta pack/unpack, the
- * interior-column pallet walk, content-hash bulk mixing, the CRC-32C
- * wire checksum, the float convolution of the forward pass and the
- * fixed-point convolution of temporal serving — runs through one
+ * interior-column pallet walk, the CRC-32C wire checksum, the float
+ * convolution of the forward pass and the fixed-point convolution of
+ * temporal serving — runs through one
  * function-pointer KernelTable resolved once at startup.
  * The scalar table is the PR 3 reference code and is always present;
  * the SSE4 and AVX2 tables (x86) are compiled in their own translation
@@ -133,15 +133,6 @@ struct KernelTable
                                std::size_t rowStride, std::size_t rows,
                                int colStride, std::uint8_t *colMax,
                                int cols) = nullptr;
-
-    /**
-     * contentHash64 bulk mixing: folds @p stripes 32-byte stripes of
-     * @p p into the eight 32-bit lane accumulators (Murmur3-x86 lane
-     * mix; see bitops.cc). Lanes stay independent, so any width of
-     * vector can batch them.
-     */
-    void (*hashStripes)(const unsigned char *p, std::size_t stripes,
-                        std::uint32_t acc[8]) = nullptr;
 
     /**
      * CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) of @p

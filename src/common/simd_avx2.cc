@@ -2,7 +2,7 @@
  * @file
  * AVX2 kernel table, compiled with -mavx2 in this TU only. The
  * plane kernels and the convolution tiles run 256-bit lanes; the
- * short-group, walk and hash kernels reuse the shared 128-bit
+ * short-group and walk kernels reuse the shared 128-bit
  * implementations (group sizes and window widths rarely exceed 16,
  * so wider registers buy nothing there), and the CRC is the same
  * scalar crc32 instruction stream as the SSE4 table.
@@ -270,7 +270,7 @@ avx2Table()
         Isa::Avx2,          &avx2BoothPlane16, &avx2BoothPlane32,
         &avx2BitsPlane16,   &avx2BitsPlane32,  &x86::groupBits16,
         &x86::groupBits32,  &x86::deltaBits16, &x86::addSat16,
-        &x86::walkSumMax,   &x86::hashStripes, &x86::crc32c,
+        &x86::walkSumMax,   &x86::crc32c,
         &x86::convolveF32<F32x8>, &x86::convolve<I64x4>,
     };
     return t;

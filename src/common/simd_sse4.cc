@@ -18,7 +18,7 @@ sse4Table()
         Isa::Sse4,          &x86::boothPlane16, &x86::boothPlane32,
         &x86::bitsPlane16,  &x86::bitsPlane32,  &x86::groupBits16,
         &x86::groupBits32,  &x86::deltaBits16,  &x86::addSat16,
-        &x86::walkSumMax,   &x86::hashStripes,  &x86::crc32c,
+        &x86::walkSumMax,   &x86::crc32c,
         &x86::convolveF32<x86::F32x4>, &x86::convolve<x86::I64x2>,
     };
     return t;

@@ -394,41 +394,6 @@ walkSumMax(const std::uint8_t *base, std::size_t rowStride,
     return total;
 }
 
-inline void
-hashStripes(const unsigned char *p, std::size_t stripes,
-            std::uint32_t acc[8])
-{
-    const __m128i c1 = _mm_set1_epi32(
-        static_cast<int>(0xCC9E2D51u));
-    const __m128i c2 = _mm_set1_epi32(
-        static_cast<int>(0x1B873593u));
-    const __m128i c3 = _mm_set1_epi32(
-        static_cast<int>(0xE6546B64u));
-    __m128i a0 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(acc));
-    __m128i a1 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(acc + 4));
-    for (std::size_t s = 0; s < stripes; ++s) {
-        for (int half = 0; half < 2; ++half) {
-            __m128i k = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(p + 32 * s +
-                                                  16 * half));
-            k = _mm_mullo_epi32(k, c1);
-            k = _mm_or_si128(_mm_slli_epi32(k, 15),
-                             _mm_srli_epi32(k, 17));
-            k = _mm_mullo_epi32(k, c2);
-            __m128i &a = half == 0 ? a0 : a1;
-            a = _mm_xor_si128(a, k);
-            a = _mm_or_si128(_mm_slli_epi32(a, 13),
-                             _mm_srli_epi32(a, 19));
-            a = _mm_add_epi32(
-                _mm_add_epi32(a, _mm_slli_epi32(a, 2)), c3);
-        }
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(acc), a0);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + 4), a1);
-}
-
 /**
  * KernelTable::crc32c via the SSE4.2 crc32 instruction, which computes
  * exactly the Castagnoli polynomial of the scalar table: one 8-byte

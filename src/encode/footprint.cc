@@ -1,10 +1,6 @@
 #include "encode/footprint.hh"
 
-#include <unordered_map>
-
 #include "analysis/precision.hh"
-#include "common/bitops.hh"
-#include "common/cache_registry.hh"
 #include "encode/schemes.hh"
 
 namespace diffy
@@ -12,48 +8,6 @@ namespace diffy
 
 namespace
 {
-
-/** Memo key of one bits/value measurement. */
-struct BitsKey
-{
-    std::uint64_t contentHash = 0;
-    std::size_t values = 0;
-    Compression scheme = Compression::None;
-    int profiledBits = 16;
-
-    bool operator==(const BitsKey &o) const = default;
-};
-
-struct BitsKeyHash
-{
-    std::size_t
-    operator()(const BitsKey &k) const noexcept
-    {
-        // contentHash is already avalanched; the other fields only
-        // need to land in distinct buckets.
-        return static_cast<std::size_t>(
-            k.contentHash ^
-            (static_cast<std::uint64_t>(k.scheme) * 0x9E3779B97F4A7C15ULL) ^
-            (static_cast<std::uint64_t>(k.profiledBits) << 32));
-    }
-};
-
-// thread_local: memoized pure functions; keeps sweep workers
-// lock-free (see DESIGN.md §8 shared-state audit). Cleared through
-// the central registry (DESIGN.md §10, rule R2).
-std::unordered_map<BitsKey, double, BitsKeyHash> &
-bitsPerValueCache()
-{
-    thread_local std::unordered_map<BitsKey, double, BitsKeyHash> cache;
-    return cache;
-}
-
-std::unordered_map<std::uint64_t, int> &
-profiledBitsCache()
-{
-    thread_local std::unordered_map<std::uint64_t, int> cache;
-    return cache;
-}
 
 /** Schemes whose size does not depend on the imap's values. */
 bool
@@ -64,45 +18,36 @@ sizeIsValueFree(Compression scheme)
 }
 
 /**
- * Memoized bits/value measurements. The sweep benches query the same
- * (imap, scheme) pairs many times over (combineWithMemory asks once
- * per tile x memory point), so the value-dependent schemes are sized
- * once per thread. Value-free schemes skip the memo: hashing the imap
- * would cost more than the answer.
+ * Bits/value of the layer's imap under a scheme. combineWithMemory asks
+ * once per tile x memory point, so the value-dependent schemes are
+ * measured once per layer, as layer facts; value-free schemes are
+ * cheaper to answer than to look up.
  */
 double
-measuredBitsPerValue(const TensorI16 &imap, Compression scheme,
+measuredBitsPerValue(const LayerTrace &layer, Compression scheme,
                      int profiled_bits)
 {
     if (sizeIsValueFree(scheme))
-        return makeCodec(scheme, profiled_bits)->bitsPerValue(imap);
-    auto &cache = bitsPerValueCache();
-    const BitsKey key{contentHash64(imap.data(),
-                                    imap.size() * sizeof(std::int16_t)),
-                      imap.size(), scheme, profiled_bits};
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-    double bpv = makeCodec(scheme, profiled_bits)->bitsPerValue(imap);
-    cache.emplace(key, bpv);
-    return bpv;
+        return makeCodec(scheme, profiled_bits)->bitsPerValue(layer.imap);
+    const FactKey key{FactKind::BitsPerValue, static_cast<int>(scheme),
+                      profiled_bits};
+    return layer.facts.get(key, [&] {
+        return LayerFacts::Value{
+            makeCodec(scheme, profiled_bits)->bitsPerValue(layer.imap)};
+    })[0];
 }
 
 /** Profiled precision of one layer's imap (self-profiled fallback). */
 int
 layerProfiledBits(const LayerTrace &layer)
 {
-    auto &cache = profiledBitsCache();
-    std::uint64_t key = contentHash64(
-        layer.imap.data(), layer.imap.size() * sizeof(std::int16_t));
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-    PrecisionProfiler profiler;
-    profiler.addLayer(0, layer.imap);
-    int bits = profiler.layerPrecision(0);
-    cache.emplace(key, bits);
-    return bits;
+    return static_cast<int>(
+        layer.facts.get(FactKey{FactKind::ProfiledBits}, [&] {
+            PrecisionProfiler profiler;
+            profiler.addLayer(0, layer.imap);
+            return LayerFacts::Value{
+                static_cast<double>(profiler.layerPrecision(0))};
+        })[0]);
 }
 
 /** Spatial value count of the layer's imap at the frame resolution. */
@@ -126,15 +71,6 @@ omapValuesAtFrame(const LayerTrace &layer, int frame_h, int frame_w)
 }
 
 } // namespace
-
-void
-clearFootprintCaches()
-{
-    bitsPerValueCache().clear();
-    profiledBitsCache().clear();
-}
-
-DIFFY_REGISTER_THREAD_CACHE(encode_footprint_memos, clearFootprintCaches);
 
 double
 NetworkFootprint::totalBits() const
@@ -170,8 +106,7 @@ measureFootprint(const NetworkTrace &trace, Compression scheme,
         LayerFootprint lf;
         lf.layerName = layer.spec.name;
         lf.values = layer.imap.size();
-        lf.bitsPerValue =
-            measuredBitsPerValue(layer.imap, scheme, prof_bits);
+        lf.bitsPerValue = measuredBitsPerValue(layer, scheme, prof_bits);
         lf.profiledBits = prof_bits;
         fp.layers.push_back(lf);
     }

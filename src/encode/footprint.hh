@@ -84,14 +84,6 @@ std::vector<double> perLayerTrafficBytes(const NetworkTrace &trace,
                                          = {});
 
 /**
- * Drop the calling thread's memoized bits/value and profiled-precision
- * measurements. Registered with the thread-cache registry
- * (common/cache_registry.hh); exposed for benchmarks and tests that
- * need a cold cache.
- */
-void clearFootprintCaches();
-
-/**
  * Activation-memory bytes required by the worst layer of a trace at
  * the target frame width under the paper's dataflow (see file
  * comment). Uses measured bits/value per layer.

@@ -291,9 +291,8 @@ dequantizeWeights(const PreparedWeights &pw)
     return out;
 }
 
-// thread_local keeps sweep workers lock-free (same idiom as the
-// sim/encode memo caches); cleared through the central registry
-// (DESIGN.md §10, rule R2).
+// thread_local keeps sweep workers lock-free; cleared through the
+// central registry (DESIGN.md §10, rule R2).
 std::unordered_map<std::string, PreparedWeights> &
 preparedWeightsCache()
 {

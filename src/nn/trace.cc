@@ -3,15 +3,80 @@
 #include <array>
 #include <cstring>
 #include <istream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "common/bitops.hh"
+#include "obs/metrics.hh"
 
 namespace diffy
 {
+
+/**
+ * One fact. `fill` serializes its single computation; `ready`, set
+ * after `value` is written, lets later readers skip the mutex.
+ */
+struct LayerFacts::Slot
+{
+    std::atomic<bool> ready{false};
+    std::mutex fill;
+    Value value{};
+};
+
+/** The facts of one layer; created by the first query. */
+struct LayerFacts::State
+{
+    std::mutex mu; ///< guards the map, not the slots' values
+    std::map<FactKey, Slot> slots;
+};
+
+LayerFacts &
+LayerFacts::operator=(LayerFacts o) noexcept
+{
+    delete state_.exchange(o.state_.exchange(nullptr));
+    return *this;
+}
+
+LayerFacts::~LayerFacts()
+{
+    delete state_.load();
+}
+
+LayerFacts::Value
+LayerFacts::lookup(const FactKey &key, Value (*compute)(const void *),
+                   const void *fn) const
+{
+    State *state = state_.load();
+    if (state == nullptr) {
+        auto fresh = std::make_unique<State>();
+        // On a lost race, state receives the winner's pointer.
+        if (state_.compare_exchange_strong(state, fresh.get()))
+            state = fresh.release();
+    }
+    Slot *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(state->mu);
+        slot = &state->slots[key];
+    }
+    if (!slot->ready) {
+        std::lock_guard<std::mutex> lock(slot->fill);
+        if (!slot->ready) {
+            slot->value = compute(fn);
+            slot->ready = true;
+            auto &reg = obs::MetricsRegistry::instance();
+            static obs::Counter *const fills[] = { // in FactKind order
+                &reg.counter("encode.precisions_profiled"),
+                &reg.counter("encode.bits_measured"),
+                &reg.counter("sim.walks")};
+            fills[static_cast<std::size_t>(key.kind)]->add(1);
+        }
+    }
+    return slot->value;
+}
 
 double
 LayerTrace::weightDensity()
@@ -166,6 +231,8 @@ class BodyCursor
     take(void *dst, std::size_t n)
     {
         need(n);
+        if (n == 0)
+            return; // an empty tensor's data() may be null
         std::memcpy(dst, p_, n);
         p_ += n;
         left_ -= n;

@@ -13,9 +13,14 @@
 #ifndef DIFFY_NN_TRACE_HH
 #define DIFFY_NN_TRACE_HH
 
+#include <array>
+#include <atomic>
+#include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/layer.hh"
@@ -23,6 +28,78 @@
 
 namespace diffy
 {
+
+/** What a layer fact describes; each kind has its own fill counter. */
+enum class FactKind : std::uint8_t
+{
+    /** Self-profiled imap precision (encode.precisions_profiled). */
+    ProfiledBits,
+    /** Measured bits/value under a scheme (encode.bits_measured). */
+    BitsPerValue,
+    /** PRA/Diffy pallet-walk cycles and useful terms (sim.walks). */
+    Walk,
+};
+
+/** Identifies one fact of a layer: its kind and up to three parameters. */
+struct FactKey
+{
+    FactKind kind = FactKind::ProfiledBits;
+    int a = 0, b = 0, c = 0;
+
+    auto operator<=>(const FactKey &) const = default;
+};
+
+/**
+ * Per-layer facts, computed lazily at most once per (layer, key) and
+ * shared by every thread reading the layer. Facts are keyed by the
+ * layer's identity, not its content: they describe the layer as it was
+ * when first asked, so a trace must not be changed once it has been
+ * queried. A copy starts with no facts (it may be changed on its
+ * own); a move carries them. Facts hold scalars only. Nothing is
+ * allocated until the first query.
+ */
+class LayerFacts
+{
+  public:
+    using Value = std::array<double, 2>;
+
+    LayerFacts() = default;
+    LayerFacts(const LayerFacts &) noexcept {}
+    LayerFacts(LayerFacts &&o) noexcept : state_(o.state_.exchange(nullptr))
+    {
+    }
+    /** Copy-assignment empties the target; move-assignment takes over. */
+    LayerFacts &operator=(LayerFacts o) noexcept;
+    ~LayerFacts();
+
+    /**
+     * The fact under @p key. The first caller runs @p compute (a
+     * callable returning Value) while callers of the same key wait;
+     * later callers read the stored value. If @p compute throws,
+     * nothing is stored.
+     */
+    template <typename Fn>
+    Value
+    get(const FactKey &key, Fn &&compute) const
+    {
+        using F = std::remove_reference_t<Fn>;
+        return lookup(
+            key,
+            [](const void *fn) -> Value {
+                return (*static_cast<const F *>(fn))();
+            },
+            std::addressof(compute));
+    }
+
+  private:
+    struct Slot;
+    struct State;
+
+    Value lookup(const FactKey &key, Value (*compute)(const void *),
+                 const void *fn) const;
+
+    mutable std::atomic<State *> state_{nullptr};
+};
 
 /** Captured state of one layer execution. */
 struct LayerTrace
@@ -49,6 +126,9 @@ struct LayerTrace
     }
     /** Fraction of nonzero quantized weights. */
     double weightDensity() const;
+
+    /** Lazily computed facts about this layer (see LayerFacts). */
+    LayerFacts facts;
 };
 
 /** Captured state of one full-network inference. */

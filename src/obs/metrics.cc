@@ -25,17 +25,42 @@ enabledFlag()
 }
 
 /**
- * Thread-local shard pointer cache: metric address -> this thread's
- * shard. Shards themselves are owned by the metric (they must outlive
- * worker threads so snapshots after a sweep still see their data);
- * this map only avoids the registry lock on the hot path. Clearing it
- * merely forces a re-lookup — the sweep-setup cache clear therefore
- * costs one fresh shard per metric, never data.
+ * Thread-local shard cache: metric address -> this thread's shard and
+ * where to hand it back (the metric's lock and spares). Shards are owned by the metric
+ * (they must outlive worker threads so snapshots after a sweep still
+ * see their data); this map only avoids the registry lock on the hot
+ * path. When the thread exits, or the sweep-setup clear runs, every
+ * shard goes back to its metric, whose next new recording thread
+ * reuses it (its data stays in the sums), so thread churn does not
+ * grow memory.
  */
-std::unordered_map<const void *, void *> &
+struct ShardCache
+{
+    struct Entry
+    {
+        void *shard = nullptr;
+        std::mutex *mutex = nullptr;
+        std::vector<void *> *spare = nullptr;
+    };
+    std::unordered_map<const void *, Entry> entries;
+
+    ~ShardCache() { clear(); }
+
+    void
+    clear()
+    {
+        for (const auto &[metric, entry] : entries) {
+            std::lock_guard<std::mutex> lock(*entry.mutex);
+            entry.spare->push_back(entry.shard);
+        }
+        entries.clear();
+    }
+};
+
+ShardCache &
 shardCache()
 {
-    thread_local std::unordered_map<const void *, void *> cache;
+    thread_local ShardCache cache;
     return cache;
 }
 
@@ -43,6 +68,26 @@ void
 clearShardCache()
 {
     shardCache().clear();
+}
+
+/** This thread's shard of a metric: its cached one, a spare, or new. */
+template <typename Shard>
+Shard &
+threadShard(const void *metric, std::mutex &mutex,
+            std::vector<std::unique_ptr<Shard>> &shards,
+            std::vector<void *> &spare)
+{
+    ShardCache::Entry &entry = shardCache().entries[metric];
+    if (entry.shard == nullptr) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (spare.empty()) {
+            shards.push_back(std::make_unique<Shard>());
+            spare.push_back(shards.back().get());
+        }
+        entry = {spare.back(), &mutex, &spare};
+        spare.pop_back();
+    }
+    return *static_cast<Shard *>(entry.shard);
 }
 
 DIFFY_REGISTER_THREAD_CACHE(obs_metric_shards, clearShardCache);
@@ -80,13 +125,7 @@ log2NanosBucket(double seconds)
 Counter::Shard &
 Counter::shard()
 {
-    void *&slot = shardCache()[this];
-    if (slot == nullptr) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shards_.push_back(std::make_unique<Shard>());
-        slot = shards_.back().get();
-    }
-    return *static_cast<Shard *>(slot);
+    return threadShard(this, mutex_, shards_, spare_);
 }
 
 void
@@ -147,13 +186,7 @@ Gauge::value() const
 LatencyHistogram::Shard &
 LatencyHistogram::shard()
 {
-    void *&slot = shardCache()[this];
-    if (slot == nullptr) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shards_.push_back(std::make_unique<Shard>());
-        slot = shards_.back().get();
-    }
-    return *static_cast<Shard *>(slot);
+    return threadShard(this, mutex_, shards_, spare_);
 }
 
 void

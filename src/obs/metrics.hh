@@ -9,7 +9,9 @@
  * shard per recording thread — allocated lazily through a thread-local
  * cache (the same idiom as `common/cache_registry`) — so recording
  * never contends on a shared cache line; `snapshot()` merges the
- * shards. Handles are stable for the process lifetime: the registry is
+ * shards. A thread's shards pass to the metric's next new recording
+ * thread when it exits, so the shard count is bounded by the most
+ * threads ever recording at once. Handles are stable for the process lifetime: the registry is
  * a singleton and never deletes a metric.
  *
  * Recording honours a global enable switch. Metrics are ON by default
@@ -72,6 +74,7 @@ class Counter
 
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<Shard>> shards_;
+    std::vector<void *> spare_; ///< shards no live thread holds
 };
 
 /** Last-write-wins scalar (thread counts, wall seconds, ...). */
@@ -137,6 +140,7 @@ class LatencyHistogram
 
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<Shard>> shards_;
+    std::vector<void *> spare_; ///< shards no live thread holds
 };
 
 /** Plain-data view of every registered metric at one point in time. */

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
-#include "common/bitops.hh"
-#include "common/cache_registry.hh"
 #include "common/simd.hh"
 
 namespace diffy
@@ -16,60 +13,15 @@ namespace diffy
 namespace
 {
 
-/** Raw outcome of one pallet walk, before filter-group scaling. */
-struct WalkResult
-{
-    double cycles = 0.0;
-    double usefulTerms = 0.0;
-};
-
 /**
- * Memoization of pallet walks. The walk depends only on the imap
- * contents/shape, the kernel geometry and the (lanes, columns,
- * differential) grid parameters — not on filter counts, tiles, the
- * memory system or the compression scheme, all of which the sweep
- * benches vary. Keyed by a 64-bit content hash mixed with the
- * geometry, which is ~50x cheaper than the walk itself.
+ * Expand a walk result — {cycles, useful terms}, before filter-group
+ * scaling — into full per-configuration layer stats.
  */
-std::uint64_t
-walkKey(const LayerTrace &layer, int lanes, int cols, bool differential,
-        WalkCost cost)
-{
-    std::uint64_t h = contentHash64(layer.imap.data(),
-                                    layer.imap.size() *
-                                        sizeof(std::int16_t));
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    };
-    mix(static_cast<std::uint64_t>(layer.imap.channels()));
-    mix(static_cast<std::uint64_t>(layer.imap.height()));
-    mix(static_cast<std::uint64_t>(layer.imap.width()));
-    mix(static_cast<std::uint64_t>(layer.spec.kernel));
-    mix(static_cast<std::uint64_t>(layer.spec.stride));
-    mix(static_cast<std::uint64_t>(layer.spec.dilation));
-    mix(static_cast<std::uint64_t>(lanes));
-    mix(static_cast<std::uint64_t>(cols));
-    mix(differential ? 2 : 1);
-    mix(static_cast<std::uint64_t>(cost) + 11);
-    return h;
-}
-
-std::unordered_map<std::uint64_t, WalkResult> &
-walkCache()
-{
-    // thread_local: sweep workers memoize independently. The cached
-    // walk is a pure function of its key, so per-thread duplication
-    // costs only memory, while a shared map would need a lock on the
-    // hottest path of the timing model.
-    thread_local std::unordered_map<std::uint64_t, WalkResult> cache;
-    return cache;
-}
-
-/** Expand a walk result into full per-configuration layer stats. */
 LayerComputeStats
 assembleStats(const LayerTrace &layer, const AcceleratorConfig &cfg,
-              const WalkResult &walk)
+              const LayerFacts::Value &walk)
 {
+    const auto [cycles, useful_terms] = walk;
     const auto &spec = layer.spec;
     const int out_h = layer.outHeight();
     const int out_w = layer.outWidth();
@@ -78,7 +30,7 @@ assembleStats(const LayerTrace &layer, const AcceleratorConfig &cfg,
 
     LayerComputeStats stats;
     stats.layerName = spec.name;
-    stats.computeCycles = walk.cycles * filter_groups / spatial;
+    stats.computeCycles = cycles * filter_groups / spatial;
     stats.traceOutputs =
         static_cast<double>(out_h) * out_w * spec.outChannels;
     stats.traceMacs = static_cast<double>(out_h) * out_w *
@@ -89,7 +41,7 @@ assembleStats(const LayerTrace &layer, const AcceleratorConfig &cfg,
                        cfg.windowColumns;
     // Each effectual term is consumed once per actual filter; unused
     // filter lanes show up as idle slots (filter underutilization).
-    stats.usefulSlots = walk.usefulTerms * spec.outChannels;
+    stats.usefulSlots = useful_terms * spec.outChannels;
     return stats;
 }
 
@@ -101,7 +53,7 @@ assembleStats(const LayerTrace &layer, const AcceleratorConfig &cfg,
  * convert exactly to the doubles the old double-accumulating walk
  * produced, keeping bench output byte-identical.
  */
-WalkResult
+LayerFacts::Value
 walkLayer(const LayerTrace &layer, const AcceleratorConfig &cfg,
           bool differential, WalkCost cost)
 {
@@ -262,37 +214,25 @@ walkLayer(const LayerTrace &layer, const AcceleratorConfig &cfg,
         }
     }
 
-    return WalkResult{static_cast<double>(cycles),
-                      static_cast<double>(useful_terms)};
+    return {static_cast<double>(cycles), static_cast<double>(useful_terms)};
 }
 
 } // namespace
-
-void
-clearWalkCache()
-{
-    walkCache().clear();
-}
-
-DIFFY_REGISTER_THREAD_CACHE(sim_pra_walk, clearWalkCache);
 
 LayerComputeStats
 simulateTermSerialLayer(const LayerTrace &layer,
                         const AcceleratorConfig &cfg, bool differential,
                         WalkCost cost)
 {
-    const int cols = cfg.windowColumns;
-    const int lanes = cfg.termsPerFilter;
-
-    const std::uint64_t key =
-        walkKey(layer, lanes, cols, differential, cost);
-    auto cached = walkCache().find(key);
-    if (cached != walkCache().end())
-        return assembleStats(layer, cfg, cached->second);
-
-    WalkResult result = walkLayer(layer, cfg, differential, cost);
-    walkCache().emplace(key, result);
-    return assembleStats(layer, cfg, result);
+    // The walk depends only on the layer and (lanes, columns,
+    // differential, cost) — not on filter counts, tiles, the memory
+    // system or the scheme the sweeps vary — so it is a layer fact.
+    const FactKey key{FactKind::Walk, cfg.termsPerFilter,
+                      cfg.windowColumns,
+                      static_cast<int>(cost) * 2 + (differential ? 1 : 0)};
+    return assembleStats(layer, cfg, layer.facts.get(key, [&] {
+        return walkLayer(layer, cfg, differential, cost);
+    }));
 }
 
 LayerComputeStats

@@ -38,13 +38,11 @@ hasName(const std::vector<std::string> &names, const std::string &want)
 
 TEST(CacheRegistry, AllProductionCachesAreRegistered)
 {
-    // The three thread_local memo caches in the tree (diffy-lint rule
-    // R2 keeps this list honest: a new cache cannot land unregistered).
+    // The thread_local memo caches in the tree (diffy-lint rule R2
+    // keeps this list honest: a new cache cannot land unregistered).
     std::vector<std::string> names = registeredThreadCacheNames();
-    EXPECT_TRUE(hasName(names, "sim_pra_walk"));
-    EXPECT_TRUE(hasName(names, "encode_footprint_memos"));
     EXPECT_TRUE(hasName(names, "nn_executor_prepared_weights"));
-    EXPECT_GE(registeredThreadCacheCount(), 3u);
+    EXPECT_GE(registeredThreadCacheCount(), 1u);
     EXPECT_EQ(registeredThreadCacheCount(), names.size());
 }
 
@@ -69,32 +67,23 @@ TEST(CacheRegistry, ClearThenRecomputeIsByteIdentical)
     p.height = 24;
     p.seed = 71;
     NetworkTrace trace = runNetwork(makeDnCnn(), renderScene(p));
-
-    // Warm the footprint memos and the pallet-walk cache.
     const double warm_bits =
         measureFootprint(trace, Compression::DeltaD16).totalBits();
     LayerComputeStats warm = simulateTermSerialLayer(
         trace.layers[0], defaultDiffyConfig(), true, WalkCost::BoothTerms);
 
-    // Cold recompute after a registry-wide clear must reproduce the
-    // exact same numbers — the memoized functions are pure, which is
+    // A registry-wide clear plus a copy of the trace (a copy has no
+    // layer facts) recomputes everything, to the exact same numbers —
     // what makes the sweep scheduler's setup-time clear safe.
     clearRegisteredThreadCaches();
-    EXPECT_EQ(measureFootprint(trace, Compression::DeltaD16).totalBits(),
+    clearPreparedWeightsCache(); // safe on an already-cold cache
+    const NetworkTrace cold = trace;
+    EXPECT_EQ(measureFootprint(cold, Compression::DeltaD16).totalBits(),
               warm_bits);
-    LayerComputeStats cold = simulateTermSerialLayer(
-        trace.layers[0], defaultDiffyConfig(), true, WalkCost::BoothTerms);
-    EXPECT_EQ(cold.computeCycles, warm.computeCycles);
-    EXPECT_EQ(cold.usefulSlots, warm.usefulSlots);
-
-    // The individual hooks are also exposed directly (benchmarks use
-    // them for cold-cache measurement); calling them must be safe on
-    // an already-cold cache.
-    clearWalkCache();
-    clearFootprintCaches();
-    clearPreparedWeightsCache();
-    EXPECT_EQ(measureFootprint(trace, Compression::DeltaD16).totalBits(),
-              warm_bits);
+    LayerComputeStats again = simulateTermSerialLayer(
+        cold.layers[0], defaultDiffyConfig(), true, WalkCost::BoothTerms);
+    EXPECT_EQ(again.computeCycles, warm.computeCycles);
+    EXPECT_EQ(again.usefulSlots, warm.usefulSlots);
 }
 
 } // namespace

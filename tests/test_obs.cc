@@ -295,6 +295,25 @@ TEST(ObsCounter, ExactAcrossThreadCounts)
     }
 }
 
+TEST(ObsCounter, ExitedThreadsHandTheirShardsOn)
+{
+    // Sweeps start fresh workers every time; their shards must be
+    // reused, not accumulate one per thread ever started.
+    auto &reg = obs::MetricsRegistry::instance();
+    obs::Counter &counter = reg.counter("test.counter_churn");
+    obs::LatencyHistogram &hist = reg.histogram("test.hist_churn");
+    for (int round = 0; round < 20; ++round) {
+        std::thread([&] {
+            counter.add(2);
+            hist.record(0.001);
+        }).join();
+    }
+    EXPECT_EQ(counter.value(), 40u);
+    EXPECT_EQ(counter.shardCount(), 1u);
+    EXPECT_EQ(hist.snapshot().stat.count(), 20u);
+    EXPECT_EQ(hist.shardCount(), 1u);
+}
+
 TEST(ObsCounter, ResetZeroesButKeepsShards)
 {
     auto &reg = obs::MetricsRegistry::instance();

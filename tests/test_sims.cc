@@ -9,12 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
+#include "analysis/precision.hh"
 #include "common/rng.hh"
+#include "encode/footprint.hh"
+#include "encode/schemes.hh"
 #include "image/synth.hh"
 #include "nn/executor.hh"
 #include "nn/models.hh"
+#include "obs/metrics.hh"
+#include "runtime/sweep.hh"
 #include "sim/diffy_sim.hh"
 #include "sim/pra.hh"
 #include "sim/runner.hh"
@@ -205,8 +211,10 @@ TEST(TermSerialWalk, MatchesReferenceAcrossGeometries)
             for (bool differential : {false, true}) {
                 for (WalkCost cost :
                      {WalkCost::BoothTerms, WalkCost::BitSerial}) {
-                    clearWalkCache();
-                    auto got = simulateTermSerialLayer(lt, cfg,
+                    // A copy starts with no facts, so every call
+                    // walks instead of reading an earlier walk.
+                    const LayerTrace fresh = lt;
+                    auto got = simulateTermSerialLayer(fresh, cfg,
                                                        differential, cost);
                     auto want = referenceTermSerialLayer(
                         lt, cfg, differential, cost);
@@ -221,6 +229,92 @@ TEST(TermSerialWalk, MatchesReferenceAcrossGeometries)
                         << g.dilation << " diff=" << differential;
                 }
             }
+        }
+    }
+}
+
+/** Layer-fact fills so far: walks, bits/value, precisions. */
+using Fills = std::array<std::uint64_t, 3>;
+
+Fills
+factFills()
+{
+    auto &reg = obs::MetricsRegistry::instance();
+    return {reg.counter("sim.walks").value(),
+            reg.counter("encode.bits_measured").value(),
+            reg.counter("encode.precisions_profiled").value()};
+}
+
+TEST(LayerFacts, SharedTraceFillsEachFactOnceAcrossThreads)
+{
+    const NetworkTrace trace = sceneTrace(makeDnCnn(), 24, 53);
+    const std::size_t layers = trace.layers.size();
+    const AcceleratorConfig pra = defaultPraConfig();
+    const AcceleratorConfig diffy = defaultDiffyConfig();
+
+    // Two consecutive sweeps of eight workers over one const trace;
+    // odd cells run the sims first, so fills of one fact race from
+    // both orders.
+    struct Run
+    {
+        NetworkFootprint delta, profiled;
+        NetworkComputeResult pra, diffy;
+    };
+    auto sweepOnce = [&] {
+        SweepScheduler scheduler(8, 1);
+        return scheduler.map(8, [&](SweepJob &job) {
+            Run r;
+            for (std::size_t step = 0; step < 2; ++step) {
+                if ((step + job.index) % 2 == 0) {
+                    r.delta = measureFootprint(trace, Compression::DeltaD16);
+                    r.profiled = measureFootprint(trace, Compression::Profiled);
+                } else {
+                    r.pra = simulateCompute(trace, pra);
+                    r.diffy = simulateCompute(trace, diffy);
+                }
+            }
+            return r;
+        });
+    };
+    const Fills before = factFills();
+    const std::vector<Run> runs = sweepOnce();
+    // One fill per (layer, key): PRA's raw walk, Diffy's differential
+    // walk, DeltaD16's bits/value and the self-profiled precision.
+    const Fills filled = factFills();
+    EXPECT_EQ(filled, (Fills{before[0] + 2 * layers, before[1] + layers,
+                             before[2] + layers}));
+    sweepOnce();
+    EXPECT_EQ(factFills(), filled);
+
+    // Every result equals the uncached oracles.
+    for (std::size_t li = 0; li < layers; ++li) {
+        const LayerTrace &layer = trace.layers[li];
+        PrecisionProfiler profiler;
+        profiler.addLayer(0, layer.imap);
+        const int bits = profiler.layerPrecision(0);
+        const double delta_bpv =
+            makeCodec(Compression::DeltaD16, 16)->bitsPerValue(layer.imap);
+        const double profiled_bpv =
+            makeCodec(Compression::Profiled, bits)->bitsPerValue(layer.imap);
+        const LayerComputeStats pra_walk = referenceTermSerialLayer(
+            layer, pra, false, WalkCost::BoothTerms);
+        const LayerComputeStats diffy_walk = referenceTermSerialLayer(
+            layer, diffy, true, WalkCost::BoothTerms);
+        // A copy has no facts, so this recomputes Diffy's layer (the
+        // walk plus its Delta-out floor) from scratch.
+        const double diffy_cycles =
+            simulateDiffyLayer(LayerTrace(layer), diffy,
+                               DiffyMode::Differential)
+                .computeCycles;
+        for (const Run &r : runs) {
+            EXPECT_EQ(r.delta.layers[li].bitsPerValue, delta_bpv);
+            EXPECT_EQ(r.profiled.layers[li].profiledBits, bits);
+            EXPECT_EQ(r.profiled.layers[li].bitsPerValue, profiled_bpv);
+            EXPECT_EQ(r.pra.layers[li].computeCycles, pra_walk.computeCycles);
+            EXPECT_EQ(r.pra.layers[li].usefulSlots, pra_walk.usefulSlots);
+            EXPECT_EQ(r.diffy.layers[li].computeCycles, diffy_cycles);
+            EXPECT_EQ(r.diffy.layers[li].usefulSlots,
+                      diffy_walk.usefulSlots);
         }
     }
 }

@@ -37,6 +37,10 @@ smallTrace()
 TEST(TraceSerialization, RoundTripsExactly)
 {
     NetworkTrace trace = smallTrace();
+    // A layer with an empty weight bank, whose data() is null: loading
+    // it must copy nothing rather than hand memcpy a null pointer.
+    trace.layers.push_back(trace.layers[0]);
+    trace.layers.back().weights = FilterBankI16();
     std::stringstream ss;
     saveTrace(trace, ss);
     NetworkTrace back = loadTrace(ss);
@@ -57,6 +61,63 @@ TEST(TraceSerialization, RoundTripsExactly)
         EXPECT_EQ(a.imap, b.imap);
         EXPECT_EQ(a.weights, b.weights);
     }
+}
+
+/** A fact of @p layer: the sum of its imap, counting fills in @p fills. */
+double
+imapSumFact(const LayerTrace &layer, int &fills)
+{
+    return layer.facts.get(FactKey{FactKind::BitsPerValue, 1, 2}, [&] {
+        ++fills;
+        double sum = 0.0;
+        for (std::size_t i = 0; i < layer.imap.size(); ++i)
+            sum += layer.imap.data()[i];
+        return LayerFacts::Value{sum};
+    })[0];
+}
+
+TEST(LayerFacts, CopyStartsEmptyAndMoveCarriesFacts)
+{
+    NetworkTrace trace;
+    trace.layers.resize(1);
+    LayerTrace &original = trace.layers[0];
+    original.imap = TensorI16(1, 2, 2, 3);
+    int fills = 0;
+    EXPECT_EQ(imapSumFact(original, fills), 12.0);
+    EXPECT_EQ(imapSumFact(original, fills), 12.0);
+    EXPECT_EQ(fills, 1);
+
+    // A copy whose imap is then mutated gets the fresh answer, and
+    // the original keeps its own.
+    LayerTrace copy = original;
+    copy.imap.at(0, 1, 1) = 100;
+    EXPECT_EQ(imapSumFact(copy, fills), 109.0);
+    EXPECT_EQ(imapSumFact(original, fills), 12.0);
+    EXPECT_EQ(fills, 2);
+    // Copy-assignment replaces the imap, so it drops the stale fact.
+    copy = original;
+    EXPECT_EQ(imapSumFact(copy, fills), 12.0);
+    EXPECT_EQ(fills, 3);
+
+    // Moving the trace, or assigning from a moved layer, keeps them.
+    NetworkTrace moved = std::move(trace);
+    EXPECT_EQ(imapSumFact(moved.layers[0], fills), 12.0);
+    copy = std::move(moved.layers[0]);
+    EXPECT_EQ(imapSumFact(copy, fills), 12.0);
+    EXPECT_EQ(fills, 3);
+}
+
+TEST(LayerFacts, ThrowingFillStoresNothing)
+{
+    LayerTrace layer;
+    const FactKey key{FactKind::Walk, 16, 16, 0};
+    auto fail = []() -> LayerFacts::Value {
+        throw std::runtime_error("fill");
+    };
+    EXPECT_THROW(layer.facts.get(key, fail), std::runtime_error);
+    EXPECT_EQ(layer.facts.get(key, [] { return LayerFacts::Value{1.0}; }),
+              (LayerFacts::Value{1.0, 0.0}));
+    EXPECT_EQ(layer.facts.get(key, fail), (LayerFacts::Value{1.0, 0.0}));
 }
 
 TEST(TraceSerialization, RejectsBadMagic)
