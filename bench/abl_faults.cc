@@ -232,7 +232,8 @@ stubTrace()
         for (int x = 0; x < 8; ++x)
             layer.imap.at(0, y, x) =
                 static_cast<std::int16_t>(y * 8 + x);
-    layer.weights = FilterBankI16(1, 1, 3, 3);
+    layer.weights = WeightStore::instance().get(
+        WeightKey{trace.network, layer.spec.name, 1, 1, 3});
     trace.layers.push_back(std::move(layer));
     return trace;
 }

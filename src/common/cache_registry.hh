@@ -2,11 +2,12 @@
  * @file
  * Central registry of thread-local memo-cache clear hooks.
  *
- * A hot path may memoize a pure function in a `thread_local` map (the
- * prepared-weights cache in nn/executor; facts derived from one trace
- * layer live on the trace instead, see LayerFacts in nn/trace.hh), and
- * a few thread_local pointers and shard caches (common/pool, obs)
- * register the same way. Each such cache is a correctness hazard if a
+ * A hot path may memoize a pure function in a `thread_local` map
+ * (none does today: facts derived from one trace layer live on the
+ * trace, see LayerFacts in nn/trace.hh, and weight banks in the
+ * process-wide WeightStore, nn/weight_store.hh), and a few
+ * thread_local pointers and shard caches (common/pool, obs) register
+ * the same way. Each such cache is a correctness hazard if a
  * stale entry survives a sweep reconfiguration, and an operational hazard if
  * its clear hook exists only as an ad-hoc function nobody remembers to
  * call. This registry centralizes the hooks:

@@ -333,6 +333,19 @@ ScopedLatency::~ScopedLatency()
             static_cast<double>(monotonicNanos() - startNs_) * 1e-9);
 }
 
+ScopedMicros::ScopedMicros(Counter &counter)
+    : counter_(MetricsRegistry::enabled() ? &counter : nullptr)
+{
+    if (counter_ != nullptr)
+        startNs_ = monotonicNanos();
+}
+
+ScopedMicros::~ScopedMicros()
+{
+    if (counter_ != nullptr)
+        counter_->add((monotonicNanos() - startNs_) / 1000);
+}
+
 /* ------------------------------------------------------------------ */
 /* JSON snapshot                                                       */
 /* ------------------------------------------------------------------ */

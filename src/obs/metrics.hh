@@ -200,6 +200,28 @@ class ScopedLatency
     std::uint64_t startNs_ = 0;
 };
 
+/**
+ * RAII timer adding its lifetime, in whole microseconds, to a Counter
+ * unless dismissed first. Like ScopedLatency, it keeps the clock read
+ * inside src/obs (lint rule R6).
+ */
+class ScopedMicros
+{
+  public:
+    explicit ScopedMicros(Counter &counter);
+    ~ScopedMicros();
+
+    ScopedMicros(const ScopedMicros &) = delete;
+    ScopedMicros &operator=(const ScopedMicros &) = delete;
+
+    /** Record nothing when the scope ends. */
+    void dismiss() { counter_ = nullptr; }
+
+  private:
+    Counter *counter_; ///< null when metrics are disabled or dismissed
+    std::uint64_t startNs_ = 0;
+};
+
 /** Serialize a snapshot as JSON (counters/gauges/histograms objects). */
 void writeJson(const MetricsSnapshot &snapshot, std::ostream &os);
 

@@ -10,10 +10,10 @@
  *
  * Why not a SweepScheduler per batch: SweepScheduler::run() is built
  * for one-shot grids — it spawns a fresh pool and clears every
- * registered thread cache at setup, which would cold-start the
- * executor's prepared-weights memo on every batch. A serving loop
- * keeps its pool (and therefore its per-thread memos) alive across
- * batches, and reuses only the scheduler's determinism idioms:
+ * registered thread cache at setup, on every batch. A serving loop
+ * keeps its pool alive across batches (the weights live in the
+ * process-wide WeightStore whichever thread runs a frame), and reuses
+ * only the scheduler's determinism idioms:
  * preallocated result slots, reduction in admission order, per-job
  * exception capture.
  *

@@ -17,15 +17,13 @@ simulateScnnLayer(const LayerTrace &layer, const ScnnConfig &cfg)
     const int c_count = spec.inChannels;
     const int halo = spec.effectiveKernel() - 1;
 
-    // Per-channel nonzero weight counts across all filters.
+    // Per-channel nonzero weight counts across all filters, counted
+    // once when the bank was built.
     std::vector<std::int64_t> nnz_w(c_count, 0);
-    for (int f = 0; f < layer.weights.filters(); ++f) {
-        for (int c = 0; c < c_count; ++c) {
-            for (int ky = 0; ky < spec.kernel; ++ky) {
-                for (int kx = 0; kx < spec.kernel; ++kx)
-                    nnz_w[c] += layer.weights.at(f, c, ky, kx) != 0;
-            }
-        }
+    if (const WeightBank *bank = layer.weights.get()) {
+        const std::vector<std::int64_t> &counts = bank->channelNonzeros();
+        std::copy_n(counts.begin(), std::min(nnz_w.size(), counts.size()),
+                    nnz_w.begin());
     }
 
     const int tile_h = (in_h + cfg.peRows - 1) / cfg.peRows;

@@ -38,11 +38,14 @@ hasName(const std::vector<std::string> &names, const std::string &want)
 
 TEST(CacheRegistry, AllProductionCachesAreRegistered)
 {
-    // The thread_local memo caches in the tree (diffy-lint rule R2
-    // keeps this list honest: a new cache cannot land unregistered).
+    // The thread_local caches in the tree (diffy-lint rule R2 keeps
+    // this list honest: a new cache cannot land unregistered). Weights
+    // live in the process-wide WeightStore, not in a per-thread memo.
     std::vector<std::string> names = registeredThreadCacheNames();
-    EXPECT_TRUE(hasName(names, "nn_executor_prepared_weights"));
-    EXPECT_GE(registeredThreadCacheCount(), 1u);
+    EXPECT_TRUE(hasName(names, "obs_metric_shards"));
+    EXPECT_TRUE(hasName(names, "common_pool_scratch"));
+    EXPECT_FALSE(hasName(names, "nn_executor_prepared_weights"));
+    EXPECT_GE(registeredThreadCacheCount(), 2u);
     EXPECT_EQ(registeredThreadCacheCount(), names.size());
 }
 
@@ -76,7 +79,6 @@ TEST(CacheRegistry, ClearThenRecomputeIsByteIdentical)
     // layer facts) recomputes everything, to the exact same numbers —
     // what makes the sweep scheduler's setup-time clear safe.
     clearRegisteredThreadCaches();
-    clearPreparedWeightsCache(); // safe on an already-cold cache
     const NetworkTrace cold = trace;
     EXPECT_EQ(measureFootprint(cold, Compression::DeltaD16).totalBits(),
               warm_bits);
