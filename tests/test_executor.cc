@@ -154,11 +154,11 @@ TEST(SynthesizeWeights, DeterministicPerLayer)
     NetworkSpec net = makeDnCnn();
     ExecutorOptions opts;
     int frac_a = 0, frac_b = 0;
-    auto a = synthesizeWeights(net, net.layers[1], opts, &frac_a);
-    auto b = synthesizeWeights(net, net.layers[1], opts, &frac_b);
+    auto a = synthesizeWeights(weightKey(net, net.layers[1], opts), &frac_a);
+    auto b = synthesizeWeights(weightKey(net, net.layers[1], opts), &frac_b);
     EXPECT_EQ(a, b);
     EXPECT_EQ(frac_a, frac_b);
-    auto c = synthesizeWeights(net, net.layers[2], opts, nullptr);
+    auto c = synthesizeWeights(weightKey(net, net.layers[2], opts), nullptr);
     EXPECT_NE(a, c);
 }
 
@@ -167,7 +167,7 @@ TEST(SynthesizeWeights, SparsityKnobPrunes)
     NetworkSpec net = makeDnCnn();
     ExecutorOptions opts;
     opts.weightSparsity = 0.75;
-    auto w = synthesizeWeights(net, net.layers[1], opts, nullptr);
+    auto w = synthesizeWeights(weightKey(net, net.layers[1], opts), nullptr);
     std::size_t zeros = 0;
     for (std::size_t i = 0; i < w.size(); ++i)
         zeros += w.data()[i] == 0;
